@@ -90,7 +90,8 @@ void BM_Tcn(benchmark::State& state) {
   std::uint64_t i = 0;
   for (auto _ : state) {
     pkt.enqueue_time = static_cast<sim::TimeNs>(i * 11 % 1'000'000);
-    benchmark::DoNotOptimize(m.should_mark(make_snapshot(++i), pkt,
+    ++i;
+    benchmark::DoNotOptimize(m.should_mark(make_snapshot(i), pkt,
                                            MarkPoint::kDequeue,
                                            static_cast<sim::TimeNs>(i * 13)));
   }

@@ -6,18 +6,15 @@
 namespace pmsb::experiments {
 
 DumbbellScenario::DumbbellScenario(const DumbbellConfig& config)
-    : cfg_(config), sim_(cfg_.queue) {
+    : Fabric(config, Detail::kFull), cfg_(config) {
   if (cfg_.num_senders == 0) throw std::invalid_argument("dumbbell: need senders");
 
   // Hosts: senders are 0..N-1, the receiver is host N.
   for (std::size_t i = 0; i < cfg_.num_senders; ++i) {
-    senders_.push_back(std::make_unique<net::Host>(
-        sim_, static_cast<net::HostId>(i), "sender" + std::to_string(i)));
+    add_host("sender" + std::to_string(i));
   }
-  receiver_ = std::make_unique<net::Host>(
-      sim_, static_cast<net::HostId>(cfg_.num_senders), "receiver");
-
-  switch_ = std::make_unique<switchlib::Switch>(sim_, "switch");
+  net::Host& receiver = add_host("receiver");
+  switch_ = &add_switch("switch");
 
   // ACK-return / sender-facing ports: FIFO, no marking, ample buffer.
   switchlib::PortConfig plain;
@@ -34,56 +31,21 @@ DumbbellScenario::DumbbellScenario(const DumbbellConfig& config)
   bottleneck.buffer_bytes = cfg_.buffer_bytes;
   bottleneck.buffer_policy = cfg_.buffer_policy;
 
-  // Shared buffer: requested explicitly, or implied by a pool-based policy
-  // (equal division / DT are meaningless without one). All switch ports
-  // join, so the reverse (ACK) paths feel the same buffer pressure.
-  const bool pooled_policy =
-      cfg_.buffer_policy.kind != switchlib::BufferPolicyKind::kStaticPerPort;
-  if (cfg_.shared_pool_bytes > 0 || pooled_policy) {
-    const std::size_t num_ports = cfg_.num_senders + 1;
-    const std::uint64_t pool_bytes =
-        cfg_.shared_pool_bytes > 0
-            ? cfg_.shared_pool_bytes
-            : cfg_.buffer_bytes * static_cast<std::uint64_t>(num_ports);
-    pool_ = std::make_unique<switchlib::BufferPool>(pool_bytes);
-  }
-
   const sim::RateBps uplink_rate =
       cfg_.sender_uplink_rate != 0 ? cfg_.sender_uplink_rate : cfg_.link_rate;
-  auto name_link = [this](const std::string& src, const std::string& dst) {
-    link_refs_.push_back({src, dst, links_.back().get()});
-  };
-
-  // Wire sender <-> switch links and sender-facing switch ports.
   for (std::size_t i = 0; i < cfg_.num_senders; ++i) {
-    links_.push_back(std::make_unique<net::Link>(sim_, uplink_rate, cfg_.link_delay,
-                                                 switch_.get()));
-    senders_[i]->attach_uplink(links_.back().get());
-    name_link(senders_[i]->name(), switch_->name());
-    links_.push_back(std::make_unique<net::Link>(sim_, cfg_.link_rate, cfg_.link_delay,
-                                                 senders_[i].get()));
-    name_link(switch_->name(), senders_[i]->name());
-    const std::size_t port = switch_->add_port(links_.back().get(), plain);
-    switch_->routing().add_route(static_cast<net::HostId>(i), port);
+    attach_host(host(i), *switch_, plain, uplink_rate, cfg_.link_rate, cfg_.link_delay);
   }
+  bottleneck_ = &attach_host(receiver, *switch_, bottleneck, cfg_.link_rate,
+                             cfg_.link_rate, cfg_.link_delay);
 
-  // Receiver <-> switch.
-  links_.push_back(std::make_unique<net::Link>(sim_, cfg_.link_rate, cfg_.link_delay,
-                                               switch_.get()));
-  receiver_->attach_uplink(links_.back().get());
-  name_link(receiver_->name(), switch_->name());
-  links_.push_back(std::make_unique<net::Link>(sim_, cfg_.link_rate, cfg_.link_delay,
-                                               receiver_.get()));
-  name_link(switch_->name(), receiver_->name());
-  bottleneck_port_ = switch_->add_port(links_.back().get(), bottleneck);
-  switch_->routing().add_route(static_cast<net::HostId>(cfg_.num_senders),
-                               bottleneck_port_);
+  share_buffer(ports_of(*switch_), {}, "buffer");
 
-  if (pool_) {
-    for (std::size_t p = 0; p < switch_->num_ports(); ++p) {
-      switch_->port(p).attach_pool(pool_.get());
-    }
-  }
+  observed_.push_back({bottleneck_, "port/bottleneck", {{"port", "bottleneck"}},
+                       "bottleneck", switch_->name(), Detail::kFull});
+  last_hops_.push_back(bottleneck_->link());
+  trace_port_ = bottleneck_;
+  bleach_nodes_ = {switch_->name()};
 }
 
 DumbbellScenario::~DumbbellScenario() = default;
@@ -96,164 +58,12 @@ std::size_t DumbbellScenario::add_flow(const DumbbellFlowSpec& spec) {
     tc.pmsbe_enabled = true;
     tc.pmsbe_rtt_threshold = spec.pmsbe_rtt_threshold;
   }
-  auto flow = std::make_unique<transport::Flow>(sim_, *senders_[spec.sender], *receiver_,
-                                                next_flow_id_++, spec.service,
-                                                spec.bytes, tc);
-  flow->start(spec.start);
-  flows_.push_back(std::move(flow));
-  flow_sender_idx_.push_back(spec.sender);
-  return flows_.size() - 1;
-}
-
-void DumbbellScenario::bind_metrics(telemetry::MetricsRegistry& registry) {
-  switch_->port(bottleneck_port_).bind_metrics(registry, {{"port", "bottleneck"}});
-  if (pool_) pool_->bind_metrics(registry, {});
-  for (std::size_t i = 0; i < flows_.size(); ++i) {
-    flows_[i]->sender().bind_metrics(registry, {{"flow", std::to_string(i)}});
-  }
-}
-
-void DumbbellScenario::add_sampler_columns(telemetry::TimeSeriesSampler& sampler) {
-  switchlib::Port& port = switch_->port(bottleneck_port_);
-  sampler.add_probe("bottleneck.occupancy_bytes", [&port] {
-    return static_cast<double>(port.buffered_bytes());
-  });
-  const std::size_t num_queues = cfg_.scheduler.num_queues;
-  for (std::size_t q = 0; q < num_queues; ++q) {
-    sampler.add_probe("bottleneck.q" + std::to_string(q) + ".backlog_bytes",
-                      [&port, q] { return static_cast<double>(port.queue_bytes(q)); });
-  }
-  sampler.add_rate("bottleneck.mark_rate_pps", [&port]() -> std::uint64_t {
-    return port.stats().marked_enqueue + port.stats().marked_dequeue;
-  });
-  if (pool_) {
-    sampler.add_probe("buffer.free_pool_bytes", [pool = pool_.get()] {
-      return static_cast<double>(pool->free_bytes());
-    });
-    sampler.add_probe("bottleneck.admit_threshold_bytes", [&port] {
-      return static_cast<double>(port.admission_threshold_bytes());
-    });
-  }
-}
-
-void DumbbellScenario::install_digest(regress::RunDigest& digest) {
-  digest_ = &digest;
-  digest_port_ = digest.register_entity("port/bottleneck");
-  switch_->port(bottleneck_port_).set_digest(&digest, digest_port_);
-  digest_link_ = digest.register_entity("link/switch->receiver");
-  switch_->port(bottleneck_port_).link()->set_digest(&digest, digest_link_);
-  digest_flows_.clear();
-  for (std::size_t i = 0; i < flows_.size(); ++i) {
-    const auto id = digest.register_entity("flow/" + std::to_string(i));
-    digest_flows_.push_back(id);
-    flows_[i]->sender().set_digest(&digest, id);
-  }
-}
-
-void DumbbellScenario::finalize_digest() {
-  if (digest_ == nullptr) return;
-  regress::RunDigest& d = *digest_;
-  const switchlib::PortStats& ps = switch_->port(bottleneck_port_).stats();
-  d.stat(digest_port_, "enqueued_packets", ps.enqueued_packets);
-  d.stat(digest_port_, "dequeued_packets", ps.dequeued_packets);
-  d.stat(digest_port_, "dropped_packets", ps.dropped_packets);
-  d.stat(digest_port_, "dropped_bytes", ps.dropped_bytes);
-  d.stat(digest_port_, "marked_enqueue", ps.marked_enqueue);
-  d.stat(digest_port_, "marked_dequeue", ps.marked_dequeue);
-  for (std::size_t q = 0; q < ps.marked_per_queue.size(); ++q) {
-    d.stat(digest_port_, "marked.q" + std::to_string(q), ps.marked_per_queue[q]);
-  }
-  const net::Link* link = switch_->port(bottleneck_port_).link();
-  d.stat(digest_link_, "bytes_sent", link->bytes_sent());
-  d.stat(digest_link_, "packets_sent", link->packets_sent());
-  d.stat(digest_link_, "packets_delivered", link->packets_delivered());
-  for (std::size_t i = 0; i < flows_.size(); ++i) {
-    const transport::DctcpSender& s = flows_[i]->sender();
-    const regress::EntityId id = digest_flows_.at(i);
-    const transport::SenderStats& st = s.stats();
-    d.stat(id, "segments_sent", st.segments_sent);
-    d.stat(id, "retransmits", st.retransmits);
-    d.stat(id, "timeouts", st.timeouts);
-    d.stat(id, "acks_received", st.acks_received);
-    d.stat(id, "ece_acks", st.ece_acks);
-    d.stat(id, "ece_ignored", st.ece_ignored);
-    d.stat(id, "window_cuts", st.window_cuts);
-    d.stat(id, "bytes_acked", s.bytes_acked());
-    d.stat(id, "complete", s.complete() ? 1 : 0);
-    d.stat(id, "completion_time",
-           static_cast<std::uint64_t>(s.complete() ? s.completion_time() : 0));
-  }
-}
-
-void DumbbellScenario::install_profiler(telemetry::Profiler& profiler) {
-  profiler.attach(sim_);
-  switch_->port(bottleneck_port_).set_profiler(&profiler);
-  for (auto& flow : flows_) flow->sender().set_profiler(&profiler);
-}
-
-void DumbbellScenario::install_span_tracer(trace::SpanTracer& spans) {
-  switch_->port(bottleneck_port_).set_span_tracer(&spans, switch_->name());
-  for (std::size_t i = 0; i < flows_.size(); ++i) {
-    // Watched flows only record; unwatched ones pay a hash lookup at most.
-    flows_[i]->sender().set_span_tracer(
-        &spans, senders_[flow_sender_idx_.at(i)]->name());
-  }
-  // The bottleneck link reports when a packet's last bit left the wire
-  // (kLinkTx) and when it reached the receiver (kRx). The link sits below
-  // trace/ in the library stack, so the adaptation happens here.
-  const trace::NodeId link_node = spans.intern_node("switch->receiver");
-  switch_->port(bottleneck_port_).link()->set_delivery_observer(
-      [sp = &spans, link_node](const net::Packet& pkt, sim::TimeNs tx_done,
-                               sim::TimeNs rx_time) {
-        if (!sp->wants(pkt.flow_id)) return;
-        trace::SpanRecord span;
-        span.packet = pkt.id;
-        span.flow = pkt.flow_id;
-        span.node = link_node;
-        span.seq = pkt.seq;
-        span.size_bytes = pkt.size_bytes;
-        span.marked = pkt.ce;
-        span.time = tx_done;
-        span.phase = trace::SpanPhase::kLinkTx;
-        sp->record(span);
-        span.time = rx_time;
-        span.phase = trace::SpanPhase::kRx;
-        sp->record(span);
-      });
-}
-
-void DumbbellScenario::install_faults(faults::FaultPlan& plan, std::uint64_t seed) {
-  plan.install(sim_, link_refs_, seed);
-  plan_ = &plan;
-}
-
-void DumbbellScenario::install_invariants(faults::InvariantChecker& checker) {
-  faults::add_switch_checks(checker, *switch_);
-  for (const auto& s : senders_) ledger_.add_host(s.get());
-  ledger_.add_host(receiver_.get());
-  ledger_.add_switch(switch_.get());
-  for (const auto& link : links_) ledger_.add_link(link.get());
-  ledger_.set_fault_plan(plan_);
-  ledger_.register_check(checker);
-  faults::add_flow_liveness_check(checker, [this] {
-    std::vector<const transport::DctcpSender*> senders;
-    senders.reserve(flows_.size());
-    for (const auto& f : flows_) senders.push_back(&f->sender());
-    return senders;
-  });
-}
-
-std::uint64_t DumbbellScenario::total_bytes_acked() const {
-  std::uint64_t total = 0;
-  for (const auto& f : flows_) total += f->sender().bytes_acked();
-  return total;
-}
-
-bool DumbbellScenario::all_complete() const {
-  for (const auto& f : flows_) {
-    if (!f->sender().complete()) return false;
-  }
-  return true;
+  return Fabric::add_flow({.src = static_cast<net::HostId>(spec.sender),
+                           .dst = static_cast<net::HostId>(cfg_.num_senders),
+                           .service = spec.service,
+                           .bytes = spec.bytes,
+                           .start = spec.start},
+                          tc);
 }
 
 sim::TimeNs DumbbellScenario::base_rtt() const {

@@ -149,7 +149,20 @@ std::vector<double> Options::get_double_list(const std::string& key) const {
   std::stringstream ss(it->second);
   std::string cell;
   while (std::getline(ss, cell, ',')) {
-    if (!trim(cell).empty()) out.push_back(std::stod(trim(cell)));
+    const std::string entry = trim(cell);
+    if (entry.empty()) continue;
+    std::size_t pos = 0;
+    double v = 0.0;
+    try {
+      v = std::stod(entry, &pos);
+    } catch (const std::exception&) {
+      pos = 0;
+    }
+    if (pos != entry.size()) {
+      throw std::invalid_argument("Options: '" + key + "' entry '" + entry +
+                                  "' is not a number");
+    }
+    out.push_back(v);
   }
   return out;
 }

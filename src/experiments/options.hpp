@@ -36,7 +36,8 @@ class Options {
                                      std::int64_t fallback) const;
   [[nodiscard]] double get_double(const std::string& key, double fallback) const;
   [[nodiscard]] bool get_bool(const std::string& key, bool fallback) const;
-  /// Comma-separated list of doubles ("1,2.5,4").
+  /// Comma-separated list of doubles ("1,2.5,4"); empty entries are
+  /// skipped, and an entry that is not wholly a number throws.
   [[nodiscard]] std::vector<double> get_double_list(const std::string& key) const;
 
   [[nodiscard]] const std::map<std::string, std::string>& values() const {

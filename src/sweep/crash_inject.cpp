@@ -39,7 +39,7 @@ namespace {
   // Never returns, never schedules, never yields — exactly the wedged-cell
   // shape the in-process Deadline cannot interrupt.
   volatile std::uint64_t spin = 0;
-  for (;;) ++spin;
+  for (;;) spin = spin + 1;
 }
 
 }  // namespace

@@ -1,15 +1,20 @@
 #include "sweep/scenario_run.hpp"
 
+#include <algorithm>
+#include <cctype>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "experiments/dumbbell.hpp"
+#include "experiments/fabric.hpp"
 #include "experiments/leafspine.hpp"
 #include "experiments/presets.hpp"
 #include "faults/deadline.hpp"
@@ -68,7 +73,21 @@ std::vector<std::string> split_csv(const std::string& text) {
   return out;
 }
 
-/// Optional telemetry wiring shared by both topologies: a metrics registry +
+/// One `trace_flows=` entry: a 1-based transport flow id in plain decimal.
+net::FlowId parse_flow_id(const std::string& tok) {
+  const bool digits = !tok.empty() && tok.size() <= 10 &&
+                      std::all_of(tok.begin(), tok.end(),
+                                  [](unsigned char c) { return std::isdigit(c) != 0; });
+  const std::uint64_t id = digits ? std::stoull(tok) : 0;
+  if (id == 0 || id > std::numeric_limits<net::FlowId>::max()) {
+    throw std::invalid_argument(
+        "trace_flows: '" + tok + "' is not a flow id (1.." +
+        std::to_string(std::numeric_limits<net::FlowId>::max()) + ")");
+  }
+  return static_cast<net::FlowId>(id);
+}
+
+/// Optional telemetry wiring shared by every topology: a metrics registry +
 /// run manifest when `metrics_json=` is given, a time-series sampler when
 /// `timeseries_csv=` is given, a kernel/component profiler when `profile=1`
 /// or `profile_json=` is given, and packet-lifecycle span capture when
@@ -93,7 +112,7 @@ struct RunTelemetry {
         spans->watch_all();
       } else {
         for (const std::string& tok : split_csv(watch)) {
-          spans->watch_flow(static_cast<net::FlowId>(std::stoull(tok)));
+          spans->watch_flow(parse_flow_id(tok));
         }
       }
     } else if (!spans_path.empty()) {
@@ -102,10 +121,9 @@ struct RunTelemetry {
     }
   }
 
-  /// Binds the scenario's instruments and starts the sampler. Call once the
-  /// scenario has its flows (per-flow instruments bind at call time).
-  template <typename Scenario>
-  void attach(Scenario& sc) {
+  /// Binds the fabric's instruments and starts the sampler. Call once the
+  /// fabric has its flows (per-flow instruments bind at call time).
+  void attach(Fabric& sc) {
     if (!metrics_path.empty()) {
       telemetry::bind_simulator_metrics(registry, sc.simulator());
       registry.gauge_fn("process.peak_rss_bytes", {}, [] {
@@ -208,30 +226,26 @@ struct RunTelemetry {
   std::unique_ptr<trace::Tracer> tracer;
 };
 
-/// Robustness wiring shared by both topologies: a FaultPlan built from the
+/// Robustness wiring shared by every topology: a FaultPlan built from the
 /// `faults=` grammar plus the sweep-friendly `bleach=` sugar (grid values
 /// cannot contain ':' or ',', so the headline bleach sweep gets its own
 /// scalar key), an InvariantChecker (on by default; `invariants=0` opts
 /// out), and a Watchdog when a horizon or event budget is configured.
 ///
-/// Declare AFTER the scenario so it is destroyed first: the checker and
-/// watchdog hold the scenario's simulator by reference.
+/// Declare AFTER the fabric so it is destroyed first: the checker and
+/// watchdog hold the fabric's simulator by reference.
 struct Robustness {
   faults::FaultPlan plan;
   std::unique_ptr<faults::InvariantChecker> checker;
   std::unique_ptr<faults::Watchdog> watchdog;
   std::unique_ptr<faults::Deadline> deadline;
 
-  template <typename Scenario>
-  void install(Scenario& sc, const Options& opts,
-               const std::vector<std::string>& default_bleach_nodes,
-               std::function<std::uint64_t()> progress, std::function<bool()> done,
-               std::function<std::string()> forensics) {
+  void install(Fabric& sc, const Options& opts, std::function<std::string()> forensics) {
     std::string spec = opts.get("faults");
     if (opts.get_double("bleach", 0.0) > 0.0) {
       std::vector<std::string> nodes = opts.has("bleach_at")
                                            ? split_csv(opts.get("bleach_at"))
-                                           : default_bleach_nodes;
+                                           : sc.default_bleach_nodes();
       for (const auto& node : nodes) {
         if (!spec.empty()) spec += ';';
         spec += "bleach:" + node + ":" + opts.get("bleach");
@@ -261,9 +275,9 @@ struct Robustness {
       wcfg.stall_horizon = sim::milliseconds(opts.get_int("watchdog_horizon_ms", 0));
       wcfg.max_events = static_cast<std::uint64_t>(opts.get_int("watchdog_events", 0));
       wcfg.period = sim::microseconds_f(opts.get_double("watchdog_period_us", 100.0));
-      watchdog = std::make_unique<faults::Watchdog>(sc.simulator(), wcfg,
-                                                    std::move(progress), std::move(done),
-                                                    std::move(forensics));
+      watchdog = std::make_unique<faults::Watchdog>(
+          sc.simulator(), wcfg, [&sc] { return sc.total_bytes_acked(); },
+          [&sc] { return sc.all_complete(); }, std::move(forensics));
       watchdog->start();
     }
 
@@ -286,7 +300,7 @@ struct Robustness {
       // supervisor's parent-side hard kill recovers from this shape.
       sc.simulator().schedule_in(sim::milliseconds(1), [] {
         volatile std::uint64_t spin = 0;
-        for (;;) ++spin;
+        for (;;) spin = spin + 1;
       });
     }
   }
@@ -329,8 +343,7 @@ struct StabilityPlane {
   telemetry::TimeSeriesSampler* sampler = nullptr;
   std::unique_ptr<telemetry::TimeSeriesSampler> own;
 
-  template <typename Scenario>
-  void attach(Scenario& sc, RunTelemetry& telemetry, const Options& opts) {
+  void attach(Fabric& sc, RunTelemetry& telemetry, const Options& opts) {
     enabled = opts.get_bool("stability", false);
     if (!enabled) return;
     if (telemetry.sampler != nullptr) {
@@ -363,6 +376,63 @@ struct StabilityPlane {
   }
 };
 
+/// Every plane of one run, attached to the fabric at construction in a fixed
+/// order (digest, robustness, telemetry, stability), and the report tail every
+/// topology shares. Declare AFTER the fabric so it is destroyed first.
+class RunPlanes {
+ public:
+  /// `seed` is what the manifest records; `forensics` describes progress in
+  /// a watchdog dump. Call once the fabric has its flows.
+  RunPlanes(Fabric& fab, const Options& opts, bool quiet, regress::RunDigest* digest,
+            std::uint64_t seed, std::function<std::string()> forensics)
+      : fab_(fab), opts_(opts), digest_(digest), telemetry_(opts, quiet) {
+    if (digest_ != nullptr) fab_.install_digest(*digest_);
+    robust_.install(fab_, opts_, std::move(forensics));
+    telemetry_.attach(fab_);
+    stability_.attach(fab_, telemetry_, opts_);
+    if (!telemetry_.metrics_path.empty()) robust_.bind(telemetry_.registry);
+    telemetry_.manifest.set_seed(seed);
+  }
+
+  /// After the run and the topology's own results: the observed-port
+  /// totals, final validation, digest and observability output. Mirrors
+  /// every record result and info into the manifest, so a resumed sweep can
+  /// rehydrate a bit-identical RunRecord from the file alone, and writes it.
+  void finish(RunRecord& rec) {
+    rec.results["marks"] = static_cast<double>(fab_.total_marks());
+    rec.results["drops"] = static_cast<double>(fab_.total_drops());
+    const auto by_reason = fab_.total_drops_by_reason();
+    for (std::size_t r = 0; r < by_reason.size(); ++r) {
+      rec.results[std::string("drops.") +
+                  switchlib::drop_reason_name(static_cast<switchlib::DropReason>(r))] =
+          static_cast<double>(by_reason[r]);
+    }
+    rec.results["sim.events_executed"] =
+        static_cast<double>(fab_.simulator().executed_events());
+    stability_.finalize(opts_, rec);
+    robust_.finalize(rec);
+    fab_.finalize_digest();
+    if (digest_ != nullptr) {
+      rec.info["digest"] = digest_->total().hex();
+      rec.results["digest.events"] = static_cast<double>(digest_->count());
+    }
+    telemetry_.finalize_observability(rec);
+    rec.sim_time_us = sim::to_microseconds(fab_.simulator().now());
+    for (const auto& [k, v] : rec.results) telemetry_.manifest.set_result(k, v);
+    for (const auto& [k, v] : rec.info) telemetry_.manifest.set_info(k, v);
+    telemetry_.finish(rec.sim_time_us);
+    rec.manifest_path = telemetry_.metrics_path;
+  }
+
+ private:
+  Fabric& fab_;
+  const Options& opts_;
+  regress::RunDigest* digest_;
+  Robustness robust_;
+  RunTelemetry telemetry_;
+  StabilityPlane stability_;
+};
+
 /// Parses the shared-buffer keys: `buffer_policy=` (static | equal | dt),
 /// `dt_alpha=` (DT allowance factor), `buffer_bytes=` (shared pool size in
 /// bytes; 0 = scenario default). Returns the policy config; the pool size
@@ -374,27 +444,6 @@ switchlib::BufferPolicyConfig parse_buffer_policy(const Options& opts,
   bp.dt_alpha = opts.get_double("dt_alpha", 1.0);
   *pool_bytes = static_cast<std::uint64_t>(opts.get_int("buffer_bytes", 0));
   return bp;
-}
-
-/// Per-reason drop counters for one port into the record, prefixed
-/// `drops.<reason>` — the sweep report's view of WHY a policy refused.
-void record_drop_reasons(const switchlib::PortStats& stats, RunRecord& rec) {
-  for (std::size_t r = 0; r < switchlib::kNumDropReasons; ++r) {
-    rec.results[std::string("drops.") +
-                switchlib::drop_reason_name(static_cast<switchlib::DropReason>(r))] =
-        static_cast<double>(stats.dropped_by_reason[r]);
-  }
-}
-
-/// Folds the digest results into the record + manifest. Call after the
-/// scenario's finalize_digest(), before the results mirror loop.
-void report_digest(const regress::RunDigest* digest, RunRecord& rec,
-                   RunTelemetry& telemetry) {
-  if (digest == nullptr) return;
-  const std::string hex = digest->total().hex();
-  rec.info["digest"] = hex;
-  rec.results["digest.events"] = static_cast<double>(digest->count());
-  telemetry.manifest.set_info("digest", hex);
 }
 
 void run_dumbbell(const Options& opts, bool quiet, regress::RunDigest* digest,
@@ -422,7 +471,13 @@ void run_dumbbell(const Options& opts, bool quiet, regress::RunDigest* digest,
     throw std::invalid_argument("flows_per_queue must have one entry per queue");
   }
   std::size_t total_flows = 0;
-  for (double f : flows_per_queue) total_flows += static_cast<std::size_t>(f);
+  for (double f : flows_per_queue) {
+    if (!std::isfinite(f) || f < 0.0 || f != std::floor(f)) {
+      throw std::invalid_argument(
+          "flows_per_queue entries must be non-negative integers");
+    }
+    total_flows += static_cast<std::size_t>(f);
+  }
   cfg.num_senders = total_flows;
 
   const Scheme scheme = parse_scheme(opts.get("scheme", "pmsb"));
@@ -455,29 +510,13 @@ void run_dumbbell(const Options& opts, bool quiet, regress::RunDigest* digest,
       });
     }
   }
-  if (digest != nullptr) sc.install_digest(*digest);
 
-  Robustness robust;
-  robust.install(
-      sc, opts, {"switch"}, [&sc] { return sc.total_bytes_acked(); },
-      [&sc] { return sc.all_complete(); },
-      [&sc] {
-        return "bytes_acked=" + std::to_string(sc.total_bytes_acked()) +
-               " bottleneck_backlog=" + std::to_string(sc.bottleneck().buffered_bytes()) +
-               "B";
-      });
-
-  RunTelemetry telemetry(opts, quiet);
-  telemetry.attach(sc);
-  StabilityPlane stability;
-  stability.attach(sc, telemetry, opts);
-  if (!telemetry.metrics_path.empty()) robust.bind(telemetry.registry);
-  telemetry.manifest.set_seed(static_cast<std::uint64_t>(opts.get_int("seed", 0)));
-  telemetry.manifest.set_info("topology", "dumbbell");
-  telemetry.manifest.set_info("scheme", scheme_name(scheme));
-  telemetry.manifest.set_info("scheduler", sc.bottleneck().scheduler().name());
-  telemetry.manifest.set_info(
-      "buffer_policy", switchlib::buffer_policy_kind_name(cfg.buffer_policy.kind));
+  RunPlanes planes(sc, opts, quiet, digest,
+                   static_cast<std::uint64_t>(opts.get_int("seed", 0)), [&sc] {
+                     return "bytes_acked=" + std::to_string(sc.total_bytes_acked()) +
+                            " bottleneck_backlog=" +
+                            std::to_string(sc.bottleneck().buffered_bytes()) + "B";
+                   });
 
   const auto duration = sim::milliseconds(opts.get_int("duration_ms", 50));
   sc.run(sim::milliseconds(10));
@@ -485,9 +524,6 @@ void run_dumbbell(const Options& opts, bool quiet, regress::RunDigest* digest,
   for (std::size_t q = 0; q < queues; ++q) start[q] = sc.served_bytes(q);
   sc.run(sim::milliseconds(10) + duration);
 
-  const auto marks = sc.bottleneck().stats().marked_enqueue +
-                     sc.bottleneck().stats().marked_dequeue;
-  const auto drops = sc.bottleneck().stats().dropped_packets;
   if (!quiet) {
     std::printf("dumbbell: %s + %s, %zu queues, %zu flows\n",
                 scheme_name(scheme).c_str(),
@@ -504,39 +540,24 @@ void run_dumbbell(const Options& opts, bool quiet, regress::RunDigest* digest,
   if (!quiet) {
     table.print();
     std::printf("rtt avg/p99: %.1f / %.1f us; marks: %llu; drops: %llu\n", rtt.mean(),
-                rtt.percentile(99), static_cast<unsigned long long>(marks),
-                static_cast<unsigned long long>(drops));
+                rtt.percentile(99), static_cast<unsigned long long>(sc.total_marks()),
+                static_cast<unsigned long long>(sc.total_drops()));
   }
 
   rec.results["rtt_us.mean"] = rtt.mean();
   rec.results["rtt_us.p99"] = rtt.percentile(99);
-  rec.results["marks"] = static_cast<double>(marks);
-  rec.results["drops"] = static_cast<double>(drops);
-  record_drop_reasons(sc.bottleneck().stats(), rec);
   if (sc.pool() != nullptr) {
     rec.results["buffer.pool_limit_bytes"] =
         static_cast<double>(sc.pool()->limit());
     rec.results["buffer.free_pool_bytes_final"] =
         static_cast<double>(sc.pool()->free_bytes());
   }
-  rec.results["sim.events_executed"] =
-      static_cast<double>(sc.simulator().executed_events());
-  stability.finalize(opts, rec);
-  robust.finalize(rec);
-  sc.finalize_digest();
-  report_digest(digest, rec, telemetry);
   rec.info["topology"] = "dumbbell";
   rec.info["scheme"] = scheme_name(scheme);
   rec.info["scheduler"] = sc.bottleneck().scheduler().name();
   rec.info["buffer_policy"] =
       switchlib::buffer_policy_kind_name(cfg.buffer_policy.kind);
-  telemetry.finalize_observability(rec);
-  rec.sim_time_us = sim::to_microseconds(sc.simulator().now());
-  // Mirror every record result into the manifest so a resumed sweep can
-  // rehydrate a bit-identical RunRecord from the file alone.
-  for (const auto& [k, v] : rec.results) telemetry.manifest.set_result(k, v);
-  telemetry.finish(rec.sim_time_us);
-  rec.manifest_path = telemetry.metrics_path;
+  planes.finish(rec);
 }
 
 void run_leafspine(const Options& opts, bool quiet, regress::RunDigest* digest,
@@ -612,39 +633,12 @@ void run_leafspine(const Options& opts, bool quiet, regress::RunDigest* digest,
     throw std::invalid_argument("unknown pattern '" + pattern + "'");
   }
   sc.add_workload(wl);
-  if (digest != nullptr) sc.install_digest(*digest);
 
-  // Default bleach location: every spine — the classic "broken middlebox in
-  // the core" failure the headline experiment studies.
-  std::vector<std::string> spine_names;
-  for (std::size_t s = 0; s < cfg.num_spines; ++s) {
-    spine_names.push_back("spine" + std::to_string(s));
-  }
-  Robustness robust;
-  robust.install(
-      sc, opts, spine_names, [&sc] { return sc.total_bytes_acked(); },
-      [&sc] { return sc.all_complete(); },
-      [&sc] {
-        return "flows_completed=" + std::to_string(sc.completed_flows()) + "/" +
-               std::to_string(sc.total_flows()) +
-               " bytes_acked=" + std::to_string(sc.total_bytes_acked());
-      });
-
-  RunTelemetry telemetry(opts, quiet);
-  telemetry.attach(sc);
-  StabilityPlane stability;
-  stability.attach(sc, telemetry, opts);
-  if (!telemetry.metrics_path.empty()) robust.bind(telemetry.registry);
-  telemetry.manifest.set_seed(seed);
-  telemetry.manifest.set_info("topology", "leafspine");
-  telemetry.manifest.set_info("pattern",
-                              opts.has("trace_file") ? "trace" : pattern);
-  telemetry.manifest.set_info("scheme", scheme_name(scheme));
-  telemetry.manifest.set_info("scheduler",
-                              sched::scheduler_kind_name(cfg.scheduler.kind));
-  telemetry.manifest.set_info("workload", opts.get("workload", "paper-mix"));
-  telemetry.manifest.set_info(
-      "buffer_policy", switchlib::buffer_policy_kind_name(cfg.buffer_policy.kind));
+  RunPlanes planes(sc, opts, quiet, digest, seed, [&sc] {
+    return "flows_completed=" + std::to_string(sc.completed_flows()) + "/" +
+           std::to_string(sc.total_flows()) +
+           " bytes_acked=" + std::to_string(sc.total_bytes_acked());
+  });
 
   const bool done = sc.run_until_complete(sim::seconds(opts.get_int("max_sim_s", 60)));
   if (!quiet) {
@@ -679,7 +673,6 @@ void run_leafspine(const Options& opts, bool quiet, regress::RunDigest* digest,
     if (!quiet) std::printf("wrote %s\n", opts.get("trace_export").c_str());
   }
 
-  telemetry.manifest.set_info("all_flows_completed", done ? "true" : "false");
   rec.info["topology"] = "leafspine";
   rec.info["pattern"] = opts.has("trace_file") ? "trace" : pattern;
   rec.info["scheme"] = scheme_name(scheme);
@@ -690,14 +683,6 @@ void run_leafspine(const Options& opts, bool quiet, regress::RunDigest* digest,
       switchlib::buffer_policy_kind_name(cfg.buffer_policy.kind);
   rec.results["flows_completed"] = static_cast<double>(sc.completed_flows());
   rec.results["flows_total"] = static_cast<double>(sc.total_flows());
-  rec.results["drops"] = static_cast<double>(sc.total_drops());
-  rec.results["marks"] = static_cast<double>(sc.total_marks());
-  const auto by_reason = sc.total_drops_by_reason();
-  for (std::size_t r = 0; r < by_reason.size(); ++r) {
-    rec.results[std::string("drops.") +
-                switchlib::drop_reason_name(static_cast<switchlib::DropReason>(r))] =
-        static_cast<double>(by_reason[r]);
-  }
   auto record_fct = [&](const std::string& bin, const stats::Summary& s) {
     rec.results["fct_us." + bin + ".mean"] = s.mean();
     rec.results["fct_us." + bin + ".p95"] = s.percentile(95);
@@ -729,19 +714,7 @@ void run_leafspine(const Options& opts, bool quiet, regress::RunDigest* digest,
     rec.results["deadline.misses"] = static_cast<double>(deadlines.missed);
     rec.results["deadline.miss_fraction"] = deadlines.miss_fraction();
   }
-  rec.results["sim.events_executed"] =
-      static_cast<double>(sc.simulator().executed_events());
-  stability.finalize(opts, rec);
-  robust.finalize(rec);
-  sc.finalize_digest();
-  report_digest(digest, rec, telemetry);
-  telemetry.finalize_observability(rec);
-  for (const auto& [k, v] : rec.results) telemetry.manifest.set_result(k, v);
-  telemetry.manifest.set_result("flows_completed",
-                                static_cast<double>(sc.completed_flows()));
-  rec.sim_time_us = sim::to_microseconds(sc.simulator().now());
-  telemetry.finish(rec.sim_time_us);
-  rec.manifest_path = telemetry.metrics_path;
+  planes.finish(rec);
 }
 
 }  // namespace

@@ -90,7 +90,7 @@ class DynamicThresholdsPolicy final : public BufferPolicy {
   [[nodiscard]] std::optional<DropReason> admit(
       const AdmissionRequest& req) const override {
     // Same decision order as the pre-policy inline code (port budget, DT,
-    // pool overflow) so legacy dt_alpha runs stay digest-identical.
+    // pool overflow) so DT runs stay digest-identical.
     if (req.port_bytes + req.packet_bytes > req.port_budget) {
       return DropReason::kPortBudget;
     }

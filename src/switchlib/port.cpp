@@ -12,14 +12,7 @@ Port::Port(sim::Simulator& simulator, net::Link* link, const PortConfig& config)
       marking_(ecn::make_marking(config.marking)),
       mark_point_(ecn::effective_mark_point(config.marking)),
       buffer_bytes_(config.buffer_bytes) {
-  BufferPolicyConfig policy_cfg = config.buffer_policy;
-  if (config.dt_alpha > 0.0 &&
-      policy_cfg.kind == BufferPolicyKind::kStaticPerPort) {
-    // Legacy sugar: dt_alpha alone selects Dynamic Thresholds.
-    policy_cfg.kind = BufferPolicyKind::kDynamicThresholds;
-    policy_cfg.dt_alpha = config.dt_alpha;
-  }
-  policy_ = make_buffer_policy(policy_cfg);
+  policy_ = make_buffer_policy(config.buffer_policy);
   stats_.marked_per_queue.assign(sched_->num_queues(), 0);
   if (config.average_occupancy) {
     const sim::RateBps rate = link_->rate();

@@ -44,12 +44,6 @@ struct PortConfig {
   /// decisions route through this; the default is digest-identical to the
   /// historical inline drop-tail.
   BufferPolicyConfig buffer_policy;
-  /// Legacy Dynamic-Threshold knob (Choudhury & Hahne), kept as sugar: a
-  /// non-zero value selects buffer_policy.kind = kDynamicThresholds with
-  /// this alpha (unless buffer_policy already picked a non-static policy).
-  /// 0 leaves the configured buffer_policy in charge. This is the scheme
-  /// the micro-burst works the paper cites ([13], [14]) build on.
-  double dt_alpha = 0.0;
 };
 
 /// Per-port counters exposed for tests and benches. These cells double as

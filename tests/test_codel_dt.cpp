@@ -2,6 +2,8 @@
 // management.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "ecn/codel.hpp"
 #include "ecn/factory.hpp"
 #include "experiments/dumbbell.hpp"
@@ -135,7 +137,8 @@ TEST(DynamicThreshold, CapsHeavyPortWhenPoolFills) {
   cfg.marking.kind = MarkingKind::kNone;  // force buffer pressure
   cfg.buffer_bytes = 4096ull * 1500ull;
   cfg.shared_pool_bytes = 64ull * 1500ull;
-  cfg.dt_alpha = 1.0;
+  cfg.buffer_policy = {.kind = switchlib::BufferPolicyKind::kDynamicThresholds,
+                       .dt_alpha = 1.0};
   cfg.transport.ecn_enabled = false;
   experiments::MultiPortScenario sc(cfg);
   for (std::size_t i = 0; i < 8; ++i) {
@@ -152,7 +155,15 @@ TEST(DynamicThreshold, CapsHeavyPortWhenPoolFills) {
   EXPECT_GT(sc.receiver_port(0).stats().dropped_packets, 0u);  // DT is dropping
 }
 
-TEST(DynamicThreshold, DisabledMeansStaticBudgets) {
+namespace {
+struct PoolRun {
+  std::uint64_t peak_bytes = 0;  ///< receiver port's peak occupancy
+  switchlib::PortStats stats;
+};
+
+/// Two 500 KB flows into receiver 0 over a 96 KB pool, FIFO and no ECN so
+/// only the buffer policy limits the queue.
+PoolRun run_two_senders(const switchlib::BufferPolicyConfig& policy) {
   experiments::MultiPortConfig cfg;
   cfg.num_senders = 2;
   cfg.num_receivers = 1;
@@ -160,11 +171,37 @@ TEST(DynamicThreshold, DisabledMeansStaticBudgets) {
   cfg.scheduler.num_queues = 1;
   cfg.marking.kind = MarkingKind::kNone;
   cfg.shared_pool_bytes = 64ull * 1500ull;
-  cfg.dt_alpha = 0.0;
+  cfg.buffer_policy = policy;
   cfg.transport.ecn_enabled = false;
   experiments::MultiPortScenario sc(cfg);
   sc.add_flow({.sender = 0, .receiver = 0, .service = 0, .bytes = 500'000, .start = 0});
-  sc.run(sim::seconds(1));
-  // Static mode can fill the whole pool with one port — that's the contrast.
-  EXPECT_TRUE(true);  // behavioural contrast covered by the DT test above
+  sc.add_flow({.sender = 1, .receiver = 0, .service = 0, .bytes = 500'000, .start = 0});
+  PoolRun out;
+  for (sim::TimeNs t = 0; t <= sim::milliseconds(20); t += sim::microseconds(1)) {
+    sc.run(t);
+    out.peak_bytes = std::max(out.peak_bytes, sc.receiver_port(0).buffered_bytes());
+  }
+  out.stats = sc.receiver_port(0).stats();
+  return out;
+}
+
+std::uint64_t drops(const PoolRun& run, switchlib::DropReason reason) {
+  return run.stats.dropped_by_reason[static_cast<std::size_t>(reason)];
+}
+}  // namespace
+
+TEST(DynamicThreshold, DisabledMeansStaticBudgets) {
+  // Static budgets let one congested port take (almost) the whole pool and
+  // then drop on pool exhaustion; DT alpha=1 caps it at half the pool.
+  constexpr std::uint64_t kPool = 64ull * 1500ull;
+  const PoolRun fixed = run_two_senders({});
+  EXPECT_GT(fixed.peak_bytes, kPool * 9 / 10);
+  EXPECT_GT(drops(fixed, switchlib::DropReason::kPoolExhausted), 0u);
+  EXPECT_EQ(drops(fixed, switchlib::DropReason::kDynamicThreshold), 0u);
+
+  const PoolRun dt = run_two_senders(
+      {.kind = switchlib::BufferPolicyKind::kDynamicThresholds, .dt_alpha = 1.0});
+  EXPECT_LE(dt.peak_bytes, kPool / 2 + 1500);
+  EXPECT_GT(drops(dt, switchlib::DropReason::kDynamicThreshold), 0u);
+  EXPECT_EQ(drops(dt, switchlib::DropReason::kPoolExhausted), 0u);
 }

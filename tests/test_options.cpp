@@ -63,6 +63,20 @@ TEST(Options, DoubleList) {
   EXPECT_TRUE(o.get_double_list("missing").empty());
 }
 
+TEST(Options, DoubleListRejectsTrailingGarbage) {
+  EXPECT_THROW(parse({"w=1,2x"}).get_double_list("w"), std::invalid_argument);
+  EXPECT_THROW(parse({"w=abc"}).get_double_list("w"), std::invalid_argument);
+  EXPECT_THROW(parse({"w=1e999"}).get_double_list("w"), std::invalid_argument);
+  try {
+    (void)parse({"flows_per_queue=1,2x"}).get_double_list("flows_per_queue");
+    FAIL() << "expected a throw";
+  } catch (const std::invalid_argument& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("'flows_per_queue'"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("'2x'"), std::string::npos) << msg;
+  }
+}
+
 TEST(Options, MalformedTokensThrow) {
   EXPECT_THROW(parse({"novalue"}), std::invalid_argument);
   EXPECT_THROW(parse({"=x"}), std::invalid_argument);

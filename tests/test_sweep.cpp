@@ -315,6 +315,41 @@ TEST(Sweep, ScenarioErrorIsRecordedNotThrown) {
   }
 }
 
+namespace {
+/// The error run_scenario throws for `key=value` on a short dumbbell run.
+std::string scenario_error(const std::string& key, const std::string& value) {
+  sweep::SweepPoint pt;
+  pt.opts.set("topology", "dumbbell");
+  pt.opts.set("duration_ms", "1");
+  pt.opts.set(key, value);
+  try {
+    (void)sweep::run_scenario(pt, /*quiet=*/true);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+}  // namespace
+
+TEST(Sweep, MalformedFlowsPerQueueIsRejected) {
+  // Each would otherwise run: "2x" as 2, and -1 through an undefined
+  // double -> size_t conversion.
+  for (const char* bad : {"1,2x", "1,-1", "1,1.5", "1,nan"}) {
+    const std::string err = scenario_error("flows_per_queue", bad);
+    EXPECT_NE(err.find("flows_per_queue"), std::string::npos) << bad << ": " << err;
+  }
+}
+
+TEST(Sweep, MalformedTraceFlowIdsAreRejected) {
+  // -1 would wrap, 1abc would watch flow 1, 4294967297 would truncate to
+  // flow 1, and 0 is never a transport flow id.
+  for (const char* bad : {"-1", "1abc", "4294967297", "0", "1,,x"}) {
+    const std::string err = scenario_error("trace_flows", bad);
+    EXPECT_NE(err.find("trace_flows"), std::string::npos) << bad << ": " << err;
+  }
+  EXPECT_EQ(scenario_error("trace_flows", "1,4294967295"), "");
+}
+
 TEST(Sweep, ReportsContainEveryRun) {
   const auto pts = sweep::expand_grid(leafspine_base(), "load:0.3,0.7");
   sweep::SweepConfig cfg;
