@@ -1,44 +1,9 @@
 #include "regress/digest.hpp"
 
 #include <cstdio>
-#include <cstring>
 #include <stdexcept>
 
 namespace pmsb::regress {
-
-namespace {
-
-// FNV 128-bit prime: 2^88 + 2^8 + 0x3b.
-constexpr std::uint64_t kPrimeHi = 0x0000000001000000ull;
-constexpr std::uint64_t kPrimeLo = 0x000000000000013bull;
-
-/// 64x64 -> high 64 bits, via 32-bit halves (portable).
-std::uint64_t mul_hi64(std::uint64_t x, std::uint64_t y) {
-  const std::uint64_t a = x >> 32, b = x & 0xffffffffull;
-  const std::uint64_t c = y >> 32, d = y & 0xffffffffull;
-  const std::uint64_t bd = b * d;
-  const std::uint64_t ad = a * d;
-  const std::uint64_t bc = b * c;
-  const std::uint64_t mid = (bd >> 32) + (ad & 0xffffffffull) + (bc & 0xffffffffull);
-  return a * c + (ad >> 32) + (bc >> 32) + (mid >> 32);
-}
-
-}  // namespace
-
-void Hash128::multiply_prime() {
-  // (hi:lo) * (kPrimeHi:kPrimeLo) mod 2^128:
-  //   low limb  = lo * kPrimeLo
-  //   high limb = hi * kPrimeLo + lo * kPrimeHi + carry(lo * kPrimeLo)
-  const std::uint64_t new_hi =
-      hi_ * kPrimeLo + lo_ * kPrimeHi + mul_hi64(lo_, kPrimeLo);
-  lo_ = lo_ * kPrimeLo;
-  hi_ = new_hi;
-}
-
-void Hash128::update_bytes(const void* data, std::size_t n) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  for (std::size_t i = 0; i < n; ++i) update_byte(p[i]);
-}
 
 std::string Hash128::hex() const {
   char buf[33];
@@ -74,20 +39,35 @@ RunDigest::RunDigest(std::uint64_t checkpoint_interval)
     : interval_(checkpoint_interval == 0 ? kDefaultInterval : checkpoint_interval) {}
 
 EntityId RunDigest::register_entity(const std::string& name) {
-  for (const Entity& e : entities_) {
-    if (e.name == name) {
-      throw std::invalid_argument("RunDigest: duplicate entity '" + name + "'");
-    }
+  const auto id = static_cast<EntityId>(entities_.size());
+  if (!ids_.try_emplace(name, id).second) {
+    throw std::invalid_argument("RunDigest: duplicate entity '" + name + "'");
   }
   entities_.push_back({name, Hash128{}});
-  return static_cast<EntityId>(entities_.size() - 1);
+  return id;
 }
 
-void RunDigest::stat_f(EntityId entity, const std::string& key, double value) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(value));
-  std::memcpy(&bits, &value, sizeof(bits));
-  event(entity, EventKind::kStat, 0, fnv1a64(key), bits);
+void RunDigest::event(EntityId entity, EventKind kind, std::int64_t time,
+                      std::uint64_t a, std::uint64_t b) {
+  stream_.update_low_bytes(entity, sizeof(EntityId));
+  Hash128& sub = entities_[entity].hash;
+  const auto k = static_cast<std::uint64_t>(kind);
+  stream_.update_low_bytes(k, sizeof(EventKind));
+  sub.update_low_bytes(k, sizeof(EventKind));
+  for (const std::uint64_t w : {static_cast<std::uint64_t>(time), a, b}) {
+    stream_.update_u64(w);
+    sub.update_u64(w);
+  }
+
+  const std::uint64_t index = count_++;
+  if (journal_cap_ != 0 && index >= journal_lo_ && index < journal_hi_ &&
+      journal_.size() < journal_cap_) {
+    journal_.push_back({index, time, entity, kind, a, b});
+  }
+  if (++since_checkpoint_ == interval_) {
+    since_checkpoint_ = 0;
+    take_checkpoint();
+  }
 }
 
 void RunDigest::arm_journal(std::uint64_t lo, std::uint64_t hi, std::size_t cap) {

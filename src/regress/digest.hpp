@@ -3,10 +3,14 @@
 // A RunDigest consumes the canonical event stream of one simulation run —
 // enqueue/dequeue/mark/drop at switch ports, send on links and transports,
 // ack at senders, plus final per-entity stats — and folds it into an
-// order-sensitive streaming 128-bit hash (FNV-1a with the 128-bit prime,
-// implemented in-repo on 64-bit limbs; no dependencies). Two runs of the
-// same scenario + seed must produce byte-identical digests; any behavioral
-// divergence, however small, flips the hash.
+// order-sensitive streaming 128-bit hash. Two runs of the same scenario +
+// seed must produce byte-identical digests; any behavioral divergence,
+// however small, flips the hash.
+//
+// The hash is byte-exact FNV-1a-128 over each event's little-endian words,
+// folded at word speed: with P = 2^88 + 0x13b a byte step is one 64x64->128
+// multiply, and the zero bytes above a word's highest set bit are one multiply
+// by P^k. tests/test_regress.cpp holds it to a reference byte fold.
 //
 // Localization: every event also folds into a per-entity sub-digest (one
 // per port, per link, per flow), so a mismatch names the entity that
@@ -18,52 +22,89 @@
 //
 // Cost contract: components hold a RunDigest* that defaults to null — the
 // hot path pays exactly one predictable branch when digests are off (the
-// same idiom as Port::set_tracer).
+// same idiom as Port::set_tracer) and one out-of-line call when they are on.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace pmsb::regress {
 
-/// Streaming FNV-1a 128-bit hash on two 64-bit limbs (portable: no
-/// __int128). hash = (hash XOR byte) * kPrime per byte, mod 2^128.
+/// Streaming FNV-1a 128-bit hash on two 64-bit limbs: per byte,
+/// hash = (hash XOR byte) * P mod 2^128.
 class Hash128 {
  public:
-  void update_byte(std::uint8_t b) {
+  constexpr void update_byte(std::uint8_t b) {
     lo_ ^= b;
-    multiply_prime();
+    // P's high limb is 2^24: lo * P is lo * 0x13b plus lo shifted into hi.
+    const U128 low = static_cast<U128>(lo_) * kPrimeLow;
+    hi_ = hi_ * kPrimeLow + static_cast<std::uint64_t>(low >> 64) + (lo_ << 24);
+    lo_ = static_cast<std::uint64_t>(low);
   }
 
-  /// Folds a 64-bit word in little-endian byte order.
-  void update_u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      update_byte(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
+  /// Folds a 64-bit word in little-endian order; its high zero bytes are one run.
+  constexpr void update_u64(std::uint64_t v) {
+    update_low_bytes(v, (std::bit_width(v) + 7) / 8);
   }
 
-  void update_bytes(const void* data, std::size_t n);
-  void update_string(const std::string& s) { update_bytes(s.data(), s.size()); }
+  /// Folds the low `n` bytes of `v`, then its 8 - n high bytes, which must
+  /// be zero, as one run: `n` = sizeof the type `v` was widened from.
+  constexpr void update_low_bytes(std::uint64_t v, unsigned n) {
+    for (unsigned i = 0; i < n; ++i) update_byte(static_cast<std::uint8_t>(v >> (8 * i)));
+    update_zeros(8 - n);
+  }
+
+  /// Folds `k` <= 8 zero bytes as one multiply by P^k (XOR with 0 is a no-op).
+  constexpr void update_zeros(unsigned k) {
+    if (k == 0) return;
+    const U128 h = ((static_cast<U128>(hi_) << 64) | lo_) * kPrimePowers[k];
+    hi_ = static_cast<std::uint64_t>(h >> 64);
+    lo_ = static_cast<std::uint64_t>(h);
+  }
+
+  void update_string(const std::string& s) {
+    for (const char c : s) update_byte(static_cast<std::uint8_t>(c));
+  }
 
   [[nodiscard]] std::uint64_t hi() const { return hi_; }
   [[nodiscard]] std::uint64_t lo() const { return lo_; }
   /// 32 lowercase hex characters (hi then lo).
   [[nodiscard]] std::string hex() const;
 
-  friend bool operator==(const Hash128& a, const Hash128& b) {
-    return a.hi_ == b.hi_ && a.lo_ == b.lo_;
-  }
-  friend bool operator!=(const Hash128& a, const Hash128& b) { return !(a == b); }
+  friend constexpr bool operator==(const Hash128&, const Hash128&) = default;
 
  private:
-  void multiply_prime();
+  using U128 = unsigned __int128;
+  static constexpr std::uint64_t kPrimeLow = 0x13b;  // P = 2^88 + 0x13b
+  /// P^k mod 2^128 for k = 0..8.
+  static constexpr std::array<U128, 9> kPrimePowers = [] {
+    const U128 prime = (U128{1} << 88) + kPrimeLow;
+    std::array<U128, 9> p{1};
+    for (std::size_t k = 1; k < p.size(); ++k) p[k] = p[k - 1] * prime;
+    return p;
+  }();
 
   // FNV-1a 128 offset basis.
   std::uint64_t hi_ = 0x6c62272e07bb0142ull;
   std::uint64_t lo_ = 0x62b821756295c58dull;
 };
+
+// A zero run (one 128-bit multiply by P^k) must equal k byte steps (the limb
+// multiply).
+static_assert([] {
+  for (unsigned k = 1; k <= 8; ++k) {
+    Hash128 run, steps;
+    run.update_zeros(k);
+    for (unsigned i = 0; i < k; ++i) steps.update_byte(0);
+    if (run != steps) return false;
+  }
+  return true;
+}());
 
 /// 64-bit FNV-1a over a string — used to fold stat KEYS into the event
 /// stream as a single word.
@@ -112,28 +153,10 @@ class RunDigest {
   /// Interns `name` and returns its id. Names must be unique per digest.
   EntityId register_entity(const std::string& name);
 
-  /// Folds one event. Hot path: inlined, no allocation outside checkpoint /
-  /// journal maintenance.
+  /// Folds one event into the stream hash and the entity's sub-digest.
+  /// No allocation outside checkpoint / journal maintenance.
   void event(EntityId entity, EventKind kind, std::int64_t time, std::uint64_t a,
-             std::uint64_t b) {
-    const std::uint64_t words[4] = {
-        static_cast<std::uint64_t>(kind), static_cast<std::uint64_t>(time), a, b};
-    stream_.update_u64(entity);
-    Hash128& sub = entities_[entity].hash;
-    for (const std::uint64_t w : words) {
-      stream_.update_u64(w);
-      sub.update_u64(w);
-    }
-    const std::uint64_t index = count_++;
-    if (journal_cap_ != 0 && index >= journal_lo_ && index < journal_hi_ &&
-        journal_.size() < journal_cap_) {
-      journal_.push_back({index, time, entity, kind, a, b});
-    }
-    if (++since_checkpoint_ == interval_) {
-      since_checkpoint_ = 0;
-      take_checkpoint();
-    }
-  }
+             std::uint64_t b);
 
   /// Folds a final per-entity statistic as a kStat event (time 0, a = the
   /// FNV-64 of the key, b = the value). Feed these AFTER the run so the two
@@ -141,7 +164,6 @@ class RunDigest {
   void stat(EntityId entity, const std::string& key, std::uint64_t value) {
     event(entity, EventKind::kStat, 0, fnv1a64(key), value);
   }
-  void stat_f(EntityId entity, const std::string& key, double value);
 
   /// Records raw events with stream index in [lo, hi) — at most `cap` of
   /// them — for divergence localization. Arm before the run starts.
@@ -163,9 +185,6 @@ class RunDigest {
   [[nodiscard]] const std::string& entity_name(EntityId id) const {
     return entities_.at(id).name;
   }
-  [[nodiscard]] const Hash128& sub_digest(EntityId id) const {
-    return entities_.at(id).hash;
-  }
   /// Entity name -> sub-digest hex, for baselines and mismatch reports.
   [[nodiscard]] std::map<std::string, std::string> sub_digest_hex() const;
 
@@ -182,6 +201,7 @@ class RunDigest {
   Hash128 stream_;
   std::uint64_t count_ = 0;
   std::vector<Entity> entities_;
+  std::unordered_map<std::string, EntityId> ids_;  ///< name -> index
 
   std::uint64_t interval_;
   std::uint64_t since_checkpoint_ = 0;

@@ -78,8 +78,9 @@ TEST(Codel, RecoversWhenCongestionClears) {
   CodelMarking m({.target = sim::microseconds(10), .interval = sim::microseconds(100)});
   sim::TimeNs now = 0;
   for (; now < sim::milliseconds(2); now += sim::microseconds(5)) {
-    m.should_mark(backlogged(), pkt_enqueued_at(now - sim::microseconds(50)),
-                  MarkPoint::kDequeue, now);
+    static_cast<void>(m.should_mark(backlogged(),
+                                    pkt_enqueued_at(now - sim::microseconds(50)),
+                                    MarkPoint::kDequeue, now));
   }
   // Sojourn drops below target: marking must stop immediately.
   EXPECT_FALSE(m.should_mark(backlogged(), pkt_enqueued_at(now - sim::microseconds(2)),

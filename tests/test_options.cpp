@@ -50,7 +50,7 @@ TEST(Options, BooleanForms) {
   EXPECT_TRUE(o.get_bool("t3", false));
   EXPECT_FALSE(o.get_bool("f1", true));
   EXPECT_FALSE(o.get_bool("f2", true));
-  EXPECT_THROW(parse({"b=maybe"}).get_bool("b", false), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(parse({"b=maybe"}).get_bool("b", false)), std::invalid_argument);
 }
 
 TEST(Options, DoubleList) {
@@ -80,7 +80,7 @@ TEST(Options, DoubleListRejectsTrailingGarbage) {
 TEST(Options, MalformedTokensThrow) {
   EXPECT_THROW(parse({"novalue"}), std::invalid_argument);
   EXPECT_THROW(parse({"=x"}), std::invalid_argument);
-  EXPECT_THROW(parse({"n=12x"}).get_int("n", 0), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(parse({"n=12x"}).get_int("n", 0)), std::invalid_argument);
 }
 
 TEST(Options, ConfigFileWithCommentsAndOverride) {

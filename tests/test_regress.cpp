@@ -1,14 +1,19 @@
-// Tests for the regression plane: Hash128 / RunDigest semantics (order
-// sensitivity, sub-digest localization, checkpoint compaction, journal
-// windows), the baseline store round trip, the noise-aware perf comparison,
-// and the end-to-end guarantees the gate rests on — byte-identical digests
-// for repeated runs of one scenario, and a localized divergence report when
-// a run is perturbed.
+// Tests for the regression plane: Hash128 / RunDigest semantics (exactness
+// against a reference FNV-1a-128 byte fold, order sensitivity, sub-digest
+// localization, checkpoint compaction, journal windows), the baseline store
+// round trip, the noise-aware perf comparison, and the end-to-end guarantees
+// the gate rests on — byte-identical digests for repeated runs of one
+// scenario, and a localized divergence report when a run is perturbed.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <map>
+#include <random>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "experiments/options.hpp"
@@ -58,6 +63,110 @@ TEST(Fnv1a64, MatchesKnownVectors) {
   EXPECT_EQ(fnv1a64(""), 0xcbf29ce484222325ull);
   EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cull);
   EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ull);
+}
+
+// ---------------------------------------------------------------------------
+// Hash128 exactness: the word-speed fold against the textbook byte fold
+
+namespace {
+
+/// FNV-1a-128 folded one byte at a time on 64-bit limbs, with a portable
+/// 32-bit-halves high multiply: the reference every digest must equal.
+class RefHash {
+ public:
+  void byte(std::uint8_t b) {
+    constexpr std::uint64_t kPrimeHi = 0x0000000001000000ull;
+    constexpr std::uint64_t kPrimeLo = 0x000000000000013bull;
+    lo_ ^= b;
+    const std::uint64_t hi = hi_ * kPrimeLo + lo_ * kPrimeHi + mul_hi64(lo_, kPrimeLo);
+    lo_ *= kPrimeLo;
+    hi_ = hi;
+  }
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) byte(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+  void str(const std::string& s) {
+    for (const char c : s) byte(static_cast<std::uint8_t>(c));
+  }
+  [[nodiscard]] std::uint64_t hi() const { return hi_; }
+  [[nodiscard]] std::uint64_t lo() const { return lo_; }
+  [[nodiscard]] std::string hex() const {
+    char buf[33];
+    std::snprintf(buf, sizeof(buf), "%016llx%016llx",
+                  static_cast<unsigned long long>(hi_),
+                  static_cast<unsigned long long>(lo_));
+    return buf;
+  }
+
+ private:
+  static std::uint64_t mul_hi64(std::uint64_t x, std::uint64_t y) {
+    const std::uint64_t a = x >> 32, b = x & 0xffffffffull;
+    const std::uint64_t c = y >> 32, d = y & 0xffffffffull;
+    const std::uint64_t bd = b * d;
+    const std::uint64_t ad = a * d;
+    const std::uint64_t bc = b * c;
+    const std::uint64_t mid = (bd >> 32) + (ad & 0xffffffffull) + (bc & 0xffffffffull);
+    return a * c + (ad >> 32) + (bc >> 32) + (mid >> 32);
+  }
+
+  std::uint64_t hi_ = 0x6c62272e07bb0142ull;
+  std::uint64_t lo_ = 0x62b821756295c58dull;
+};
+
+::testing::AssertionResult SameState(const Hash128& h, const RefHash& ref) {
+  if (h.hi() == ref.hi() && h.lo() == ref.lo()) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure() << h.hex() << " != reference " << ref.hex();
+}
+
+}  // namespace
+
+TEST(Hash128, MatchesPublishedFnv1a128Vectors) {
+  for (const auto& [input, want] : std::vector<std::pair<std::string, std::string>>{
+           {"", "6c62272e07bb014262b821756295c58d"},
+           {"a", "d228cb696f1a8caf78912b704e4a8964"},
+           {"foobar", "343e1662793c64bf6f0d3597ba446f18"}}) {
+    Hash128 h;
+    h.update_string(input);
+    EXPECT_EQ(h.hex(), want) << '"' << input << '"';
+  }
+}
+
+TEST(Hash128, WordFoldEqualsReferenceByteFold) {
+  std::vector<std::uint64_t> words = {0, ~0ull, 1, 0xffull << 56};
+  for (int i = 0; i < 8; ++i) words.push_back(1ull << (8 * i + 7));
+  std::mt19937_64 rng(13);
+  for (int i = 0; i < 100'000; ++i) {
+    // Random widths too, so high zero runs of every length occur.
+    const std::uint64_t w = rng();
+    words.push_back(w >> (8 * (i % 8)));
+  }
+  Hash128 h;
+  RefHash ref;
+  for (const std::uint64_t w : words) {
+    h.update_u64(w);
+    ref.u64(w);
+    ASSERT_TRUE(SameState(h, ref)) << "after word " << std::hex << w;
+  }
+}
+
+TEST(Hash128, NarrowFieldsEqualReferenceByteFold) {
+  Hash128 h;
+  RefHash ref;
+  for (unsigned kind = 0; kind <= 6; ++kind) {
+    h.update_low_bytes(kind, sizeof(EventKind));
+    ref.u64(kind);
+    ASSERT_TRUE(SameState(h, ref)) << "kind " << kind;
+  }
+  for (const std::uint64_t id : {0ull, 1ull << 24, (1ull << 32) - 1}) {
+    h.update_low_bytes(id, sizeof(EntityId));
+    ref.u64(id);
+    ASSERT_TRUE(SameState(h, ref)) << "entity " << id;
+  }
+  for (unsigned k = 0; k <= 8; ++k) {
+    h.update_zeros(k);
+    for (unsigned i = 0; i < k; ++i) ref.byte(0);
+    ASSERT_TRUE(SameState(h, ref)) << "zero run " << k;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -118,8 +227,18 @@ TEST(RunDigest, SubDigestsLocalizeThePerturbedEntity) {
 
 TEST(RunDigest, DuplicateEntityRegistrationThrows) {
   RunDigest d;
-  d.register_entity("port/x");
-  EXPECT_THROW(d.register_entity("port/x"), std::invalid_argument);
+  EXPECT_EQ(d.register_entity("port/x"), 0u);
+  EXPECT_EQ(d.register_entity("flow/0"), 1u);
+  try {
+    d.register_entity("port/x");
+    FAIL() << "duplicate registration did not throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "RunDigest: duplicate entity 'port/x'");
+  }
+  // The rejected name takes no id: ids stay dense in registration order.
+  EXPECT_EQ(d.register_entity("flow/1"), 2u);
+  EXPECT_EQ(d.num_entities(), 3u);
+  EXPECT_EQ(d.entity_name(2), "flow/1");
 }
 
 TEST(RunDigest, CheckpointCompactionIsBoundedAndDeterministic) {
@@ -157,6 +276,83 @@ TEST(RunDigest, StatKeysAreDistinguished) {
   a.stat(0, "drops", 1);
   b.stat(0, "marks", 1);
   EXPECT_NE(a.total().hex(), b.total().hex());
+}
+
+namespace {
+
+/// RunDigest's definition replayed on the reference byte fold: stream hash,
+/// per-entity sub-digests, checkpoints every `interval` events, and the
+/// total over the stream, the count and the sub-digests in name order.
+struct RefDigest {
+  explicit RefDigest(std::uint64_t interval) : interval(interval) {}
+
+  void event(EntityId entity, EventKind kind, std::int64_t time, std::uint64_t a,
+             std::uint64_t b) {
+    stream.u64(entity);
+    for (const std::uint64_t w : {static_cast<std::uint64_t>(kind),
+                                  static_cast<std::uint64_t>(time), a, b}) {
+      stream.u64(w);
+      subs[entity].u64(w);
+    }
+    if (++count % interval == 0) checkpoints.emplace_back(count, stream.hex());
+  }
+
+  [[nodiscard]] std::string total(const std::vector<std::string>& names) const {
+    RefHash t = stream;
+    t.u64(count);
+    std::map<std::string, std::string> by_name;
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      const auto it = subs.find(static_cast<EntityId>(i));
+      by_name[names[i]] = it == subs.end() ? RefHash{}.hex() : it->second.hex();
+    }
+    for (const auto& [name, hex] : by_name) {
+      t.str(name);
+      t.str(hex);
+    }
+    return t.hex();
+  }
+
+  std::uint64_t interval;
+  RefHash stream;
+  std::map<EntityId, RefHash> subs;
+  std::uint64_t count = 0;
+  std::vector<std::pair<std::uint64_t, std::string>> checkpoints;
+};
+
+}  // namespace
+
+TEST(RunDigest, EqualsReferenceDigestOnTheReferenceFold) {
+  const std::vector<std::string> names = {"port/s0", "link/a", "flow/0", "flow/1",
+                                          "flow/idle"};
+  constexpr std::uint64_t kInterval = 64;
+  RunDigest d(kInterval);
+  RefDigest ref(kInterval);
+  for (const auto& name : names) d.register_entity(name);
+  std::mt19937_64 rng(7);
+  for (std::uint64_t i = 0; i < 20'000; ++i) {
+    // Entity 4 never sees an event: its sub-digest stays the offset basis.
+    const auto entity = static_cast<EntityId>(rng() % 4);
+    const auto kind = static_cast<EventKind>(rng() % 7);
+    const auto time = static_cast<std::int64_t>(i * 1200 + rng() % 1000);
+    const std::uint64_t a = i % 3 == 0 ? ~0ull : rng() >> (rng() % 64);
+    const std::uint64_t b = (rng() % 8) << 48 | (rng() % 200'000);
+    d.event(entity, kind, time, a, b);
+    ref.event(entity, kind, time, a, b);
+  }
+  EXPECT_EQ(d.stream().hex(), ref.stream.hex());
+  EXPECT_EQ(d.count(), ref.count);
+  const auto subs = d.sub_digest_hex();
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    const auto it = ref.subs.find(static_cast<EntityId>(i));
+    EXPECT_EQ(subs.at(names[i]), it == ref.subs.end() ? RefHash{}.hex() : it->second.hex())
+        << names[i];
+  }
+  ASSERT_EQ(d.checkpoints().size(), ref.checkpoints.size());
+  for (std::size_t i = 0; i < ref.checkpoints.size(); ++i) {
+    EXPECT_EQ(d.checkpoints()[i].index, ref.checkpoints[i].first);
+    EXPECT_EQ(d.checkpoints()[i].hash.hex(), ref.checkpoints[i].second);
+  }
+  EXPECT_EQ(d.total().hex(), ref.total(names));
 }
 
 // ---------------------------------------------------------------------------

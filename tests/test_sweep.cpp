@@ -215,7 +215,9 @@ TEST(ManifestFileName, LargeGridNamesAreDistinctAndOrdered) {
   for (std::size_t i = 0; i < grid; ++i) {
     const std::string name = sweep::manifest_file_name(i, grid);
     EXPECT_EQ(name.size(), sweep::manifest_file_name(0, grid).size());
-    if (i > 0) EXPECT_LT(prev, name) << "index " << i;
+    if (i > 0) {
+      EXPECT_LT(prev, name) << "index " << i;
+    }
     names.insert(name);
     prev = name;
   }

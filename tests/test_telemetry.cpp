@@ -291,9 +291,9 @@ TEST(RunManifest, MetricsSectionIsSortedByInstrumentKey) {
 TEST(MetricsRegistry, ValueOnHistogramThrows) {
   MetricsRegistry reg;
   reg.histogram("h", {1.0, 2.0});
-  EXPECT_THROW(reg.value("h"), std::invalid_argument);
-  EXPECT_THROW(reg.value("missing"), std::out_of_range);
-  EXPECT_NO_THROW(reg.histogram_at("h"));
+  EXPECT_THROW(static_cast<void>(reg.value("h")), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(reg.value("missing")), std::out_of_range);
+  EXPECT_NO_THROW(static_cast<void>(reg.histogram_at("h")));
 }
 
 // ---------------------------------------------------------------------------
@@ -551,7 +551,7 @@ TEST(JsonReader, FindIsNullSafeAtThrows) {
   const auto v = pmsb::telemetry::json::parse("{\"a\":1}");
   EXPECT_NE(v.find("a"), nullptr);
   EXPECT_EQ(v.find("missing"), nullptr);
-  EXPECT_THROW(v.at("missing"), pmsb::telemetry::json::ParseError);
+  EXPECT_THROW(static_cast<void>(v.at("missing")), pmsb::telemetry::json::ParseError);
   // find on a non-object is a nullptr, not a crash.
   EXPECT_EQ(v.at("a").find("x"), nullptr);
 }
