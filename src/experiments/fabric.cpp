@@ -255,19 +255,15 @@ void Fabric::install_faults(faults::FaultPlan& plan, std::uint64_t seed) {
   plan_ = &plan;
 }
 
-void Fabric::install_invariants(faults::InvariantChecker& checker) {
+std::shared_ptr<const faults::FlowLiveness> Fabric::install_invariants(
+    faults::InvariantChecker& checker) {
   for (auto& sw : switches_) faults::add_switch_checks(checker, *sw);
   for (const auto& h : hosts_) ledger_.add_host(h.get());
   for (const auto& sw : switches_) ledger_.add_switch(sw.get());
   for (const auto& link : links_) ledger_.add_link(link.get());
   ledger_.set_fault_plan(plan_);
   ledger_.register_check(checker);
-  faults::add_flow_liveness_check(checker, [this] {
-    std::vector<const transport::DctcpSender*> senders;
-    senders.reserve(flows_.size());
-    for (const auto& f : flows_) senders.push_back(&f->sender());
-    return senders;
-  });
+  return faults::add_flow_liveness_check(checker, flows_);
 }
 
 // --- Regression plane --------------------------------------------------------

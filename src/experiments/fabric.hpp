@@ -156,8 +156,10 @@ class Fabric {
   void install_faults(faults::FaultPlan& plan, std::uint64_t seed);
   /// Registers the standard invariants (port accounting on every switch,
   /// packet conservation, flow liveness) on `checker`. Call at most once,
-  /// after install_faults if a plan is in play.
-  void install_invariants(faults::InvariantChecker& checker);
+  /// after install_faults if a plan is in play. Flows added later are still
+  /// checked; the returned liveness state tells how many are left to visit.
+  std::shared_ptr<const faults::FlowLiveness> install_invariants(
+      faults::InvariantChecker& checker);
   /// Test hook for the deliberate-violation fixture.
   [[nodiscard]] faults::ConservationLedger& ledger() { return ledger_; }
   /// Where `bleach=` applies when `bleach_at=` is not given.

@@ -18,7 +18,7 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -39,7 +39,8 @@ inline void add_switch_checks(InvariantChecker& checker, switchlib::Switch& sw) 
     for (std::size_t i = 0; i < sw.num_ports(); ++i) {
       const switchlib::Port& port = sw.port(i);
       const switchlib::PortStats& stats = port.stats();
-      const std::string entity = sw.name() + " port " + std::to_string(i);
+      // Named only on a violation: the tick itself builds no strings.
+      const auto entity = [&sw, i] { return sw.name() + " port " + std::to_string(i); };
 
       if (stats.enqueued_packets !=
           stats.dequeued_packets + port.buffered_packets()) {
@@ -47,7 +48,7 @@ inline void add_switch_checks(InvariantChecker& checker, switchlib::Switch& sw) 
         why << "enqueued=" << stats.enqueued_packets
             << " != dequeued=" << stats.dequeued_packets
             << " + buffered=" << port.buffered_packets();
-        ctx.violate(entity, why.str());
+        ctx.violate(entity(), why.str());
       }
 
       std::uint64_t queue_sum = 0;
@@ -58,7 +59,7 @@ inline void add_switch_checks(InvariantChecker& checker, switchlib::Switch& sw) 
         std::ostringstream why;
         why << "port backlog " << port.buffered_bytes()
             << "B != sum of queue backlogs " << queue_sum << "B";
-        ctx.violate(entity, why.str());
+        ctx.violate(entity(), why.str());
       }
 
       std::uint64_t reason_sum = 0;
@@ -67,14 +68,14 @@ inline void add_switch_checks(InvariantChecker& checker, switchlib::Switch& sw) 
         std::ostringstream why;
         why << "drop reasons sum to " << reason_sum << " but dropped_packets="
             << stats.dropped_packets;
-        ctx.violate(entity, why.str());
+        ctx.violate(entity(), why.str());
       }
 
       if (stats.marked_enqueue + stats.marked_dequeue > stats.enqueued_packets) {
         std::ostringstream why;
         why << "CE marks " << (stats.marked_enqueue + stats.marked_dequeue)
             << " exceed admitted packets " << stats.enqueued_packets;
-        ctx.violate(entity, why.str());
+        ctx.violate(entity(), why.str());
       }
     }
   });
@@ -140,24 +141,50 @@ class ConservationLedger {
 
 /// Flow liveness: every started, incomplete flow with bytes in flight must
 /// hold an armed retransmission timer, otherwise a lost tail would hang the
-/// run. `senders` is evaluated at check time so flows created later are
-/// still covered.
-inline void add_flow_liveness_check(
-    InvariantChecker& checker,
-    std::function<std::vector<const transport::DctcpSender*>()> senders) {
-  checker.add_check(
-      "flow_liveness", [senders = std::move(senders)](InvariantChecker::Context& ctx) {
-        for (const transport::DctcpSender* sender : senders()) {
-          if (sender->started() && !sender->complete() &&
-              sender->bytes_inflight() > 0 && !sender->rto_armed()) {
-            std::ostringstream why;
-            why << "inflight=" << sender->bytes_inflight()
-                << "B acked=" << sender->bytes_acked()
-                << "B but RTO timer not armed";
-            ctx.violate("flow " + std::to_string(sender->flow_id()), why.str());
-          }
-        }
-      });
+/// run. The check keeps its own list of senders to visit: each tick appends
+/// the flows added to the append-only `flows` since the last one, so flows
+/// created later are still covered, and drops the senders that completed —
+/// complete() is terminal, so a completed flow can never fail the check.
+class FlowLiveness {
+ public:
+  explicit FlowLiveness(const std::vector<std::unique_ptr<transport::Flow>>& flows)
+      : flows_(flows) {}
+
+  void check(InvariantChecker::Context& ctx) {
+    for (; seen_ < flows_.size(); ++seen_) live_.push_back(&flows_[seen_]->sender());
+    auto kept = live_.begin();
+    for (const transport::DctcpSender* sender : live_) {
+      if (sender->complete()) continue;
+      if (sender->started() && sender->bytes_inflight() > 0 && !sender->rto_armed()) {
+        std::ostringstream why;
+        why << "inflight=" << sender->bytes_inflight()
+            << "B acked=" << sender->bytes_acked() << "B but RTO timer not armed";
+        ctx.violate("flow " + std::to_string(sender->flow_id()), why.str());
+      }
+      *kept++ = sender;
+    }
+    live_.erase(kept, live_.end());
+  }
+
+  /// Senders the last tick found incomplete: the ones the next tick visits,
+  /// besides flows added since.
+  [[nodiscard]] std::size_t live() const { return live_.size(); }
+
+ private:
+  const std::vector<std::unique_ptr<transport::Flow>>& flows_;
+  std::size_t seen_ = 0;  ///< flows_[0, seen_) have been appended to live_
+  std::vector<const transport::DctcpSender*> live_;
+};
+
+/// Registers the flow-liveness check over `flows` (which must outlive the
+/// checker) and returns its state, shared with the checker.
+inline std::shared_ptr<const FlowLiveness> add_flow_liveness_check(
+    InvariantChecker& checker, const std::vector<std::unique_ptr<transport::Flow>>& flows) {
+  auto liveness = std::make_shared<FlowLiveness>(flows);
+  checker.add_check("flow_liveness", [liveness](InvariantChecker::Context& ctx) {
+    liveness->check(ctx);
+  });
+  return liveness;
 }
 
 }  // namespace pmsb::faults

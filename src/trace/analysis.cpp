@@ -322,9 +322,16 @@ ProfileDoc parse_profile(const std::string& text, const std::string& origin) {
     if (!qb->is_string()) fail(origin, "queue_backend is not a string");
     out.queue_backend = qb->string;
   }
-  if (kernel->find("queue_compactions") != nullptr) {
-    out.queue_compactions = u64_field(*kernel, "queue_compactions", origin);
-  }
+  // Optional for the same reason: the sampling and calibration fields
+  // arrived with the sampled profiler.
+  const auto optional_u64 = [&](const char* key, std::uint64_t& field) {
+    if (kernel->find(key) != nullptr) field = u64_field(*kernel, key, origin);
+  };
+  optional_u64("queue_compactions", out.queue_compactions);
+  optional_u64("sample_period", out.sample_period);
+  optional_u64("sampled_dispatches", out.sampled_dispatches);
+  optional_u64("clock_read_ns", out.clock_read_ns);
+  optional_u64("overhead_ns_est", out.overhead_ns_est);
   if (const json::Value* scopes = doc->find("scopes")) {
     if (!scopes->is_array()) fail(origin, "scopes is not an array");
     for (const json::Value& s : scopes->array) {

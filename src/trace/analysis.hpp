@@ -126,7 +126,17 @@ struct ProfileDoc {
   /// written before the backend knob existed predate the field).
   std::string queue_backend = "heap";
   std::uint64_t queue_compactions = 0;  ///< 0 when absent (older documents)
+  // Sampling and clock calibration; all 0 when absent (documents written
+  // before the profiler sampled timed every dispatch and reported no clock
+  // cost).
+  std::uint64_t sample_period = 0;  ///< about 1 in this many dispatches timed
+  std::uint64_t sampled_dispatches = 0;
+  std::uint64_t clock_read_ns = 0;
+  std::uint64_t overhead_ns_est = 0;  ///< clock reads made x clock_read_ns
   std::vector<ProfileScopeEntry> scopes;  ///< file order (sorted by name)
+
+  /// True when the wall fields are estimates scaled up from a timed sample.
+  [[nodiscard]] bool sampled() const { return sample_period > 1; }
 };
 
 /// Parses a pmsb.profile/1 document. Accepts either a standalone profile

@@ -146,3 +146,27 @@ TEST(Fabric, LeafSpineCarriesEveryPlane) {
 TEST(Fabric, MultiPortCarriesEveryPlane) {
   expect_every_plane(run_multiport(), run_multiport());
 }
+
+TEST(Fabric, FlowLivenessCoversLateFlowsAndDropsCompletedOnes) {
+  experiments::DumbbellConfig cfg;
+  cfg.num_senders = 2;
+  experiments::DumbbellScenario sc(cfg);
+  sc.add_flow({.sender = 0, .service = 0, .bytes = 20'000, .start = 0});
+  faults::InvariantChecker checker(sc.simulator());
+  const auto liveness = sc.install_invariants(checker);
+  // Added after install_invariants, and long enough to outlast flow 0.
+  sc.add_flow({.sender = 1, .service = 0, .bytes = 2'000'000, .start = 0});
+  checker.check_now();
+  EXPECT_EQ(liveness->live(), 2u) << "the late flow must be visited too";
+
+  sc.run(sim::milliseconds(1));
+  ASSERT_TRUE(sc.flow(0).sender().complete());
+  ASSERT_FALSE(sc.flow(1).sender().complete());
+  checker.check_now();
+  EXPECT_EQ(liveness->live(), 1u) << "a completed flow is no longer visited";
+
+  EXPECT_TRUE(sc.run_until_complete(sim::milliseconds(50)));
+  checker.check_now();
+  EXPECT_EQ(liveness->live(), 0u);
+  EXPECT_TRUE(checker.clean()) << checker.summary();
+}

@@ -1,15 +1,18 @@
 // Profiler contract tests: scope attribution (self vs total across nesting),
-// zero-cost-when-off, kernel hook counters, pmsb.profile/1 byte-stable
-// round-trip through telemetry::json, manifest splicing, rusage capture, and
-// — the property everything else hangs on — that attaching a profiler never
+// zero-cost-when-off, kernel hook counters, exact counts under sampled
+// timing, the sampled wall estimator, pmsb.profile/1 byte-stable round-trip
+// through telemetry::json, manifest splicing, rusage capture, and — the
+// property everything else hangs on — that attaching a profiler never
 // perturbs a run's digest.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -42,6 +45,42 @@ experiments::DumbbellConfig small_config() {
   cfg.scheduler.num_queues = 2;
   cfg.scheduler.weights = {1.0, 1.0};
   return cfg;
+}
+
+struct DumbbellProfile {
+  std::uint64_t executed_events = 0;
+  std::uint64_t dispatches = 0;
+  std::uint64_t sampled_dispatches = 0;
+  std::map<std::string, std::uint64_t> scope_counts;
+  // Call counts kept by the components themselves.
+  std::uint64_t port_arrivals = 0;  ///< bottleneck enqueued + dropped
+  std::uint64_t port_enqueued = 0;
+  std::uint64_t segments_sent = 0;
+  std::uint64_t acks_received = 0;
+};
+
+DumbbellProfile profile_dumbbell() {
+  experiments::DumbbellScenario sc(small_config());
+  sc.add_flow({.sender = 0, .service = 0, .bytes = 200'000});
+  sc.add_flow({.sender = 1, .service = 1, .bytes = 200'000});
+  Profiler p;
+  sc.install_profiler(p);
+  sc.run(sim::milliseconds(20));
+  DumbbellProfile out;
+  out.executed_events = sc.simulator().executed_events();
+  out.dispatches = p.dispatches();
+  out.sampled_dispatches = p.sampled_dispatches();
+  for (Profiler::KindId k = 0; k < p.num_kinds(); ++k) {
+    out.scope_counts[p.kind_name(k)] = p.count(k);
+  }
+  const switchlib::PortStats& ps = sc.bottleneck().stats();
+  out.port_arrivals = ps.enqueued_packets + ps.dropped_packets;
+  out.port_enqueued = ps.enqueued_packets;
+  for (std::size_t i = 0; i < sc.num_flows(); ++i) {
+    out.segments_sent += sc.flow(i).sender().stats().segments_sent;
+    out.acks_received += sc.flow(i).sender().stats().acks_received;
+  }
+  return out;
 }
 
 std::string run_digest_hex(bool with_profiler) {
@@ -248,6 +287,131 @@ TEST(Profiler, ManifestSplicesProfileVerbatimAndReaderTolerates) {
   const auto data = telemetry::read_run_manifest(path);
   EXPECT_EQ(data.tool, "test");
   std::remove(path.c_str());
+}
+
+TEST(Profiler, CountsStayExactWhileTimingIsSampled) {
+  const DumbbellProfile run = profile_dumbbell();
+  EXPECT_EQ(run.dispatches, run.executed_events);
+  EXPECT_LT(run.sampled_dispatches, run.dispatches);
+  EXPECT_EQ(run.scope_counts.at("port.handle"), run.port_arrivals);
+  EXPECT_EQ(run.scope_counts.at("sched.DWRR.enqueue"), run.port_enqueued);
+  EXPECT_EQ(run.scope_counts.at("transport.send"), run.segments_sent);
+  EXPECT_EQ(run.scope_counts.at("transport.ack"), run.acks_received);
+  EXPECT_GT(run.segments_sent, 0u);
+}
+
+TEST(Profiler, TimedSampleIsDeterministicAndNearOneInSixtyFour) {
+  const DumbbellProfile a = profile_dumbbell();
+  const DumbbellProfile b = profile_dumbbell();
+  EXPECT_EQ(a.sampled_dispatches, b.sampled_dispatches);
+  EXPECT_EQ(a.scope_counts, b.scope_counts);
+  const double expected =
+      static_cast<double>(a.dispatches) / static_cast<double>(Profiler::kSamplePeriod);
+  EXPECT_GE(static_cast<double>(a.sampled_dispatches), 0.75 * expected);
+  EXPECT_LE(static_cast<double>(a.sampled_dispatches), 1.25 * expected);
+}
+
+// Every dispatch spins 20 us in A, then 5 us in B. Returns whether the
+// scaled estimates land within 30% of the true totals, with A above B.
+::testing::AssertionResult sampled_estimate_is_accurate() {
+  constexpr int kDispatches = 2000;
+  sim::Simulator sim;
+  Profiler p;
+  p.attach(sim);
+  const auto a = p.intern("A");
+  const auto b = p.intern("B");
+  for (int i = 0; i < kDispatches; ++i) {
+    sim.schedule_at(i * 1000, [&p, a, b] {
+      {
+        ProfileScope s(&p, a);
+        spin_for(std::chrono::microseconds(20));
+      }
+      ProfileScope s(&p, b);
+      spin_for(std::chrono::microseconds(5));
+    });
+  }
+  sim.run();
+  if (p.count(a) != kDispatches || p.count(b) != kDispatches) {
+    return ::testing::AssertionFailure() << "scope counts are not exact";
+  }
+  // Untimed dispatches read no clock: two reads per timed dispatch and two
+  // per scope inside it, nothing else.
+  if (p.clock_reads() != p.sampled_dispatches() * 6) {
+    return ::testing::AssertionFailure()
+           << p.clock_reads() << " clock reads for " << p.sampled_dispatches()
+           << " timed dispatches";
+  }
+  const double true_a = kDispatches * 20'000.0;
+  const double true_b = kDispatches * 5'000.0;
+  const double est_a = static_cast<double>(p.self_wall_ns(a));
+  const double est_b = static_cast<double>(p.self_wall_ns(b));
+  const double est_dispatch = static_cast<double>(p.dispatch_wall_ns());
+  if (std::abs(est_a - true_a) > 0.3 * true_a || std::abs(est_b - true_b) > 0.3 * true_b ||
+      std::abs(est_dispatch - true_a - true_b) > 0.3 * (true_a + true_b) || est_a <= est_b) {
+    return ::testing::AssertionFailure()
+           << "estimated A " << est_a << " ns (true " << true_a << "), B " << est_b
+           << " ns (true " << true_b << "), dispatch " << est_dispatch << " ns from "
+           << p.sampled_dispatches() << " timed dispatches";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(Profiler, SampledEstimateTracksTrueScopeTime) {
+  // Only ~31 of the 2000 dispatches are timed, so a host preemption landing
+  // in one of them is scaled up 64x along with it and can swamp a 50 ms run.
+  // A fresh run is taken then; a biased estimator fails every attempt.
+  ::testing::AssertionResult result = ::testing::AssertionFailure();
+  for (int attempt = 0; attempt < 5 && !result; ++attempt) {
+    result = sampled_estimate_is_accurate();
+  }
+  EXPECT_TRUE(result);
+}
+
+TEST(Profiler, ThrowInUntimedDispatchResetsSampling) {
+  sim::Simulator sim;
+  Profiler p;
+  p.attach(sim);
+  const auto leaked = p.intern("leaked");
+  const auto after = p.intern("after");
+  sim.schedule_at(1'000, [] {});  // the first dispatch is always timed
+  sim.schedule_at(2'000, [&p, leaked] {
+    p.scope_begin(leaked);  // never ended: the callback throws first
+    throw std::runtime_error("mid-dispatch failure");
+  });
+  EXPECT_THROW(sim.run(), std::runtime_error);
+  ASSERT_EQ(p.dispatches(), 2u);
+  ASSERT_EQ(p.sampled_dispatches(), 1u) << "the throwing dispatch must be untimed";
+  EXPECT_EQ(p.count(leaked), 1u);
+  // Outside any dispatch again: scopes are timed and unmatched ends throw.
+  {
+    ProfileScope s(&p, after);
+    spin_for(std::chrono::microseconds(100));
+  }
+  EXPECT_GE(p.total_wall_ns(after), 50'000u);
+  EXPECT_THROW(p.scope_end(), std::logic_error);
+}
+
+TEST(Profiler, ProfileJsonCarriesSamplingAndCalibrationKeys) {
+  sim::Simulator sim;
+  Profiler p;
+  p.attach(sim);
+  const auto kind = p.intern("k");
+  for (int i = 0; i < 500; ++i) {
+    sim.schedule_at(i * 100, [&p, kind] { ProfileScope s(&p, kind); });
+  }
+  sim.run();
+  const std::string doc = p.to_json();
+  EXPECT_EQ(telemetry::json::to_json(telemetry::json::parse(doc)), doc);
+  EXPECT_EQ(p.to_json(), doc) << "calibration is measured once, then fixed";
+  const auto kernel = telemetry::json::parse(doc).at("kernel");
+  EXPECT_EQ(kernel.at("sample_period").number, 64.0);
+  EXPECT_EQ(static_cast<std::uint64_t>(kernel.at("sampled_dispatches").number),
+            p.sampled_dispatches());
+  EXPECT_GT(kernel.at("sampled_dispatches").number, 0.0);
+  EXPECT_LE(kernel.at("sampled_dispatches").number, kernel.at("dispatches").number);
+  EXPECT_GT(kernel.at("clock_read_ns").number, 0.0);
+  EXPECT_EQ(static_cast<std::uint64_t>(kernel.at("overhead_ns_est").number),
+            p.clock_reads() * p.clock_read_ns());
 }
 
 TEST(ProcessStats, UsageFieldsArePlausible) {

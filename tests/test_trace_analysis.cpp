@@ -308,3 +308,46 @@ TEST(Analysis, RejectsNonProfileDocuments) {
   EXPECT_THROW(trace::parse_profile("{\"schema\": \"pmsb.bench/1\"}", "wrong"),
                std::runtime_error);
 }
+
+TEST(Analysis, ParseProfileAcceptsDocumentsWithoutSamplingFields) {
+  // A pmsb.profile/1 document as written before the profiler sampled.
+  const std::string old_doc =
+      "{\"kernel\": {\"dispatch_wall_ns\": 5000, \"dispatches\": 10, "
+      "\"events_cancelled\": 0, \"events_scheduled\": 10, \"max_heap_depth\": 3, "
+      "\"packet_ids_allocated\": 0, \"sim_delta_ns\": {\"buckets\": [], \"count\": 10, "
+      "\"sum\": 900}}, \"schema\": \"pmsb.profile/1\", \"scopes\": [{\"count\": 4, "
+      "\"name\": \"port.handle\", \"self_wall_ns\": 300, \"total_wall_ns\": 700}]}";
+  const auto doc = trace::parse_profile(old_doc, "old-profile");
+  EXPECT_EQ(doc.dispatches, 10u);
+  EXPECT_EQ(doc.dispatch_wall_ns, 5000u);
+  EXPECT_EQ(doc.queue_backend, "heap");
+  EXPECT_FALSE(doc.sampled());
+  EXPECT_EQ(doc.sample_period, 0u);
+  EXPECT_EQ(doc.sampled_dispatches, 0u);
+  EXPECT_EQ(doc.clock_read_ns, 0u);
+  EXPECT_EQ(doc.overhead_ns_est, 0u);
+  ASSERT_EQ(doc.scopes.size(), 1u);
+  EXPECT_EQ(doc.scopes[0].total_wall_ns, 700u);
+}
+
+TEST(Analysis, ParseProfileReadsSamplingFields) {
+  sim::Simulator sim;
+  telemetry::Profiler p;
+  p.attach(sim);
+  const auto kind = p.intern("k");
+  for (int i = 0; i < 300; ++i) {
+    sim.schedule_at(i * 100, [&p, kind] { telemetry::ProfileScope s(&p, kind); });
+  }
+  sim.run();
+  const auto doc = trace::parse_profile(p.to_json(), "new-profile");
+  EXPECT_TRUE(doc.sampled());
+  EXPECT_EQ(doc.sample_period, telemetry::Profiler::kSamplePeriod);
+  EXPECT_EQ(doc.sampled_dispatches, p.sampled_dispatches());
+  EXPECT_GT(doc.sampled_dispatches, 0u);
+  EXPECT_LT(doc.sampled_dispatches, doc.dispatches);
+  EXPECT_EQ(doc.clock_read_ns, p.clock_read_ns());
+  EXPECT_GT(doc.clock_read_ns, 0u);
+  EXPECT_EQ(doc.overhead_ns_est, p.clock_reads() * p.clock_read_ns());
+  ASSERT_EQ(doc.scopes.size(), 1u);
+  EXPECT_EQ(doc.scopes[0].count, 300u);
+}

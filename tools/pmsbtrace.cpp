@@ -16,7 +16,9 @@
 // `profile` ranks a pmsb.profile/1 document's scopes by self wall time
 // (the input may also be a run manifest with an embedded profile); with
 // diff= it compares two documents side by side — the profile-first
-// optimisation workflow in docs/OBSERVABILITY.md.
+// optimisation workflow in docs/OBSERVABILITY.md. The first line says how
+// the wall figures were taken: the sample period and the profiler's own
+// estimated overhead. diff= warns when only one side was sampled.
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
@@ -163,12 +165,26 @@ int cmd_port(const std::string& path, const Options& opts) {
   return 0;
 }
 
+std::string timing_line(const trace::ProfileDoc& doc) {
+  if (!doc.sampled()) return "timing: every dispatch timed (no sample period recorded)";
+  return "timing: 1 in " + std::to_string(doc.sample_period) + " dispatches timed (" +
+         std::to_string(doc.sampled_dispatches) + " of " + std::to_string(doc.dispatches) +
+         "), wall scaled up; clock read " + std::to_string(doc.clock_read_ns) +
+         " ns; estimated overhead " + fmt_ms(doc.overhead_ns_est) + " ms";
+}
+
 int cmd_profile(const std::string& path, const Options& opts) {
   opts.validate_keys({"top", "diff"});
   const trace::ProfileDoc doc = trace::read_profile(path);
   const auto top = static_cast<std::size_t>(opts.get_int("top", 10));
   if (opts.has("diff")) {
     const trace::ProfileDoc after = trace::read_profile(opts.get("diff"));
+    if (doc.sampled() != after.sampled()) {
+      std::fprintf(stderr,
+                   "pmsbtrace: warning: only %s is sampled; its wall figures are "
+                   "estimates, the other's are fully timed\n",
+                   (doc.sampled() ? path : opts.get("diff")).c_str());
+    }
     std::printf("dispatches: %llu -> %llu; dispatch wall: %s -> %s ms\n",
                 static_cast<unsigned long long>(doc.dispatches),
                 static_cast<unsigned long long>(after.dispatches),
@@ -188,6 +204,7 @@ int cmd_profile(const std::string& path, const Options& opts) {
     table.print();
     return 0;
   }
+  std::printf("%s\n", timing_line(doc).c_str());
   std::printf("kernel: %llu dispatches in %s ms wall; %llu scheduled, "
               "%llu cancelled, heap depth max %llu\n",
               static_cast<unsigned long long>(doc.dispatches),
