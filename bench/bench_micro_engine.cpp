@@ -1,6 +1,6 @@
-// Microbenchmarks for the simulation substrate: event-queue throughput and
-// scheduler enqueue/dequeue cost — the knobs that bound how large a paper
-// reproduction run can be.
+// Microbenchmarks for the simulation substrate: event-queue throughput,
+// scheduler enqueue/dequeue cost and per-packet marking decisions — the
+// knobs that bound how large a paper reproduction run can be.
 //
 // Timing is hand-rolled (warmup + timed reps, median/MAD) rather than a
 // benchmark framework so the numbers land in the same pmsb.bench/1 JSON the
@@ -15,6 +15,12 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "core/pmsb_algorithm.hpp"
+#include "ecn/mq_ecn.hpp"
+#include "ecn/per_port.hpp"
+#include "ecn/per_queue.hpp"
+#include "ecn/pmsb_marking.hpp"
+#include "ecn/tcn.hpp"
 #include "regress/bench_json.hpp"
 #include "sched/dwrr.hpp"
 #include "sched/wfq.hpp"
@@ -179,6 +185,33 @@ void scheduler_churn(std::int64_t ops) {
   g_sink = touched;
 }
 
+/// A two-queue port state that keeps moving, so every threshold comparison
+/// sees both outcomes.
+ecn::PortSnapshot marking_snapshot(std::uint64_t i) {
+  ecn::PortSnapshot s;
+  s.port_bytes = (i * 37) % 120'000;
+  s.queue_bytes = (i * 17) % 60'000;
+  s.queue = i % 2;
+  s.weight = 1.0;
+  s.weight_sum = 2.0;
+  s.num_queues = 2;
+  return s;
+}
+
+/// Times `ops` calls of `decide(i)` for i = 1..ops as "marking/<name>"; the
+/// mark count lands in g_sink so no decision can be elided.
+template <typename Decide>
+regress::BenchRecord marking_bench(const std::string& name, std::int64_t ops,
+                                   Decide decide) {
+  return time_bench("marking/" + name, static_cast<std::uint64_t>(ops), [&] {
+    std::uint64_t marks = 0;
+    for (std::uint64_t i = 1; i <= static_cast<std::uint64_t>(ops); ++i) {
+      marks += decide(i) ? 1 : 0;
+    }
+    g_sink = marks;
+  });
+}
+
 }  // namespace
 
 int main() {
@@ -244,6 +277,42 @@ int main() {
         time_bench(p.name, static_cast<std::uint64_t>(sched_ops),
                    [&] { buffer_admission_churn(p.cfg, sched_ops); }));
   }
+
+  // Per-packet cost of each marking decision (§IV.C: PMSB needs two
+  // comparisons, like RED/ECN, while MQ-ECN keeps a moving-average round
+  // estimate and TCN handles timestamps).
+  net::Packet pkt;
+  ecn::PerPortMarking per_port(97'500);
+  report.benchmarks.push_back(marking_bench("per_port", sched_ops, [&](std::uint64_t i) {
+    return per_port.should_mark(marking_snapshot(i), pkt, ecn::MarkPoint::kEnqueue, 0);
+  }));
+  ecn::PerQueueMarking per_queue({48'750, 48'750});
+  report.benchmarks.push_back(marking_bench("per_queue", sched_ops, [&](std::uint64_t i) {
+    return per_queue.should_mark(marking_snapshot(i), pkt, ecn::MarkPoint::kEnqueue, 0);
+  }));
+  ecn::PmsbMarking pmsb(18'000);
+  report.benchmarks.push_back(marking_bench("pmsb", sched_ops, [&](std::uint64_t i) {
+    return pmsb.should_mark(marking_snapshot(i), pkt, ecn::MarkPoint::kEnqueue, 0);
+  }));
+  report.benchmarks.push_back(
+      marking_bench("pmsb_should_mark", sched_ops, [](std::uint64_t i) {
+        return core::pmsb_should_mark((i * 37) % 120'000, 18'000, (i * 17) % 60'000, 1.0,
+                                      2.0);
+      }));
+  ecn::MqEcnConfig mq_cfg;
+  mq_cfg.quantum_bytes = {1500.0, 1500.0};
+  ecn::MqEcnMarking mq_ecn(std::move(mq_cfg));
+  // A live round estimate, so the dynamic-threshold path is exercised.
+  for (int r = 0; r < 16; ++r) mq_ecn.on_round_complete(r * 3000);
+  report.benchmarks.push_back(marking_bench("mqecn", sched_ops, [&](std::uint64_t i) {
+    return mq_ecn.should_mark(marking_snapshot(i), pkt, ecn::MarkPoint::kEnqueue, 0);
+  }));
+  ecn::TcnMarking tcn(sim::microseconds(78));
+  report.benchmarks.push_back(marking_bench("tcn", sched_ops, [&](std::uint64_t i) {
+    pkt.enqueue_time = static_cast<sim::TimeNs>(i * 11 % 1'000'000);
+    return tcn.should_mark(marking_snapshot(i), pkt, ecn::MarkPoint::kDequeue,
+                           static_cast<sim::TimeNs>(i * 13));
+  }));
 
   regress::maybe_write_bench_json(report);
   if (g_profiler != nullptr && telemetry::maybe_write_profile_json(*g_profiler)) {

@@ -273,11 +273,11 @@ void Fabric::install_digest(regress::RunDigest& digest) {
   digest_ports_.clear();
   for (const ObservedPort& op : observed_) {
     const regress::EntityId port_id = digest.register_entity(op.digest_entity);
-    op.port->set_digest(&digest, port_id);
+    planes_.digest(*op.port, digest, port_id);
     regress::EntityId link_id = 0;
     if (op.detail == Detail::kFull) {
       link_id = digest.register_entity("link/" + link_name(op.port->link()));
-      op.port->link()->set_digest(&digest, link_id);
+      planes_.digest(*op.port->link(), digest, link_id);
     }
     digest_ports_.emplace_back(port_id, link_id);
   }
@@ -285,7 +285,7 @@ void Fabric::install_digest(regress::RunDigest& digest) {
   for (std::size_t i = 0; i < flows_.size(); ++i) {
     const regress::EntityId id = digest.register_entity("flow/" + std::to_string(i));
     digest_flows_.push_back(id);
-    flows_[i]->sender().set_digest(&digest, id);
+    planes_.digest(flows_[i]->sender(), digest, id);
   }
 }
 
@@ -338,35 +338,16 @@ void Fabric::install_profiler(telemetry::Profiler& profiler) {
 }
 
 void Fabric::install_span_tracer(trace::SpanTracer& spans) {
-  for (const ObservedPort& op : observed_) op.port->set_span_tracer(&spans, op.span_node);
+  for (const ObservedPort& op : observed_) planes_.spans(*op.port, spans, op.span_node);
   for (std::size_t i = 0; i < flows_.size(); ++i) {
     // Watched flows only record; unwatched ones pay a hash lookup at most.
-    flows_[i]->sender().set_span_tracer(&spans, hosts_.at(specs_[i].src)->name());
+    planes_.spans(flows_[i]->sender(), spans, hosts_.at(specs_[i].src)->name());
   }
-  // A link reports when a packet's last bit left the wire (kLinkTx) and when
-  // it reached the far end (kRx). The link sits below trace/ in the library
-  // stack, so the adaptation happens here.
-  for (net::Link* link : last_hops_) {
-    const trace::NodeId link_node = spans.intern_node(link_name(link));
-    link->set_delivery_observer([sp = &spans, link_node](const net::Packet& pkt,
-                                                         sim::TimeNs tx_done,
-                                                         sim::TimeNs rx_time) {
-      if (!sp->wants(pkt.flow_id)) return;
-      trace::SpanRecord span;
-      span.packet = pkt.id;
-      span.flow = pkt.flow_id;
-      span.node = link_node;
-      span.seq = pkt.seq;
-      span.size_bytes = pkt.size_bytes;
-      span.marked = pkt.ce;
-      span.time = tx_done;
-      span.phase = trace::SpanPhase::kLinkTx;
-      sp->record(span);
-      span.time = rx_time;
-      span.phase = trace::SpanPhase::kRx;
-      sp->record(span);
-    });
-  }
+  for (net::Link* link : last_hops_) planes_.spans(*link, spans, link_name(link));
+}
+
+void Fabric::install_tracer(trace::Tracer& tracer) {
+  planes_.trace(*trace_port_, tracer);
 }
 
 }  // namespace pmsb::experiments

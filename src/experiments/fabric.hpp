@@ -1,6 +1,8 @@
 // Fabric: the simulator, hosts, switches, links, buffer pools and flows of
 // one topology, and the one place every plane is wired to them — faults,
-// invariants, digest, profiler, spans, metrics and the sampler.
+// invariants, digest, profiler, spans, port tracer, metrics and the sampler.
+// The per-packet planes (digest, spans, port tracer) share one observer,
+// PacketPlanes, that every observed component reports to.
 //
 // A topology is a thin builder that derives from Fabric. Its constructor
 // emits the graph with add_host / add_switch / add_link / attach_host /
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "ecn/factory.hpp"
+#include "experiments/packet_planes.hpp"
 #include "faults/fault_plan.hpp"
 #include "faults/invariants.hpp"
 #include "faults/standard_checks.hpp"
@@ -32,6 +35,7 @@
 #include "telemetry/profiler.hpp"
 #include "telemetry/sampler.hpp"
 #include "trace/spans.hpp"
+#include "trace/tracer.hpp"
 #include "transport/dctcp.hpp"
 #include "workload/coflow.hpp"
 #include "workload/traffic_gen.hpp"
@@ -186,8 +190,9 @@ class Fabric {
   /// and the FCT decomposition stays well-formed. Call after the flows are
   /// added; `spans` must outlive the fabric.
   void install_span_tracer(trace::SpanTracer& spans);
-  /// The port whose Tracer capture `trace_ndjson=` exports.
-  [[nodiscard]] switchlib::Port& trace_port() { return *trace_port_; }
+  /// Records every event at the trace port (the one `trace_ndjson=`
+  /// exports) in `tracer`, which must outlive the fabric.
+  void install_tracer(trace::Tracer& tracer);
 
  protected:
   /// `flow_detail` says how the planes see this fabric's flows.
@@ -238,6 +243,8 @@ class Fabric {
 
   FabricConfig config_;
   sim::Simulator sim_;
+  /// Every observed component reports its packet events here.
+  PacketPlanes planes_{sim_};
   Detail flow_detail_;
   std::vector<std::unique_ptr<net::Host>> hosts_;
   std::vector<std::unique_ptr<switchlib::Switch>> switches_;

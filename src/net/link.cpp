@@ -11,12 +11,7 @@ TimeNs Link::transmit(Packet pkt) {
   busy_until_ = tx_done;
   bytes_sent_ += pkt.size_bytes;
   ++packets_sent_;
-  if (digest_ != nullptr) {
-    digest_->event(digest_entity_, regress::EventKind::kSend,
-                   static_cast<std::int64_t>(sim_.now()), pkt.id,
-                   pkt.size_bytes | (static_cast<std::uint64_t>(pkt.ce) << 32) |
-                       (static_cast<std::uint64_t>(pkt.ect) << 33));
-  }
+  if (observer_ != nullptr) observer_->on_packet(site_, PacketEvent::kSend, pkt, {});
   sim_.schedule_at(tx_done + delay_,
                    [this, p = std::move(pkt)]() mutable { deliver(std::move(p)); });
   return tx_done;
@@ -24,9 +19,7 @@ TimeNs Link::transmit(Packet pkt) {
 
 void Link::deliver(Packet pkt) {
   ++packets_delivered_;
-  // now == tx_done + delay_, so the serialization-complete instant is
-  // recoverable without storing it alongside the packet.
-  if (observer_) observer_(pkt, sim_.now() - delay_, sim_.now());
+  if (observer_ != nullptr) observer_->on_packet(site_, PacketEvent::kRx, pkt, {});
   dst_->receive(std::move(pkt));
 }
 

@@ -8,12 +8,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <utility>
 
 #include "net/node.hpp"
 #include "net/packet.hpp"
-#include "regress/digest.hpp"
+#include "net/packet_observer.hpp"
 #include "sim/simulator.hpp"
 #include "sim/units.hpp"
 
@@ -38,23 +36,15 @@ class Link {
   /// (delivery resolves dst_ at arrival time).
   void set_destination(Node* destination) { dst_ = destination; }
 
-  /// Feeds a kSend digest event per transmitted packet as `entity` (nullptr
-  /// to detach). The digest must outlive the link.
-  void set_digest(regress::RunDigest* digest, regress::EntityId entity) {
-    digest_ = digest;
-    digest_entity_ = entity;
+  /// Reports kSend when serialization starts and kRx at delivery to
+  /// `observer` as `site` (nullptr to detach). The observer must outlive
+  /// the link.
+  void set_observer(PacketObserver* observer, SiteId site) {
+    observer_ = observer;
+    site_ = site;
   }
-
-  /// Called at delivery with the packet, when its last bit left the wire
-  /// (tx_done) and when it arrived (rx_time). A generic callback — not a
-  /// SpanTracer — because net/ sits below trace/ in the library stack; the
-  /// scenario wiring adapts it to kLinkTx/kRx span records. Empty = off
-  /// (one branch per delivery, the usual contract).
-  using DeliveryObserver =
-      std::function<void(const Packet&, TimeNs tx_done, TimeNs rx_time)>;
-  void set_delivery_observer(DeliveryObserver observer) {
-    observer_ = std::move(observer);
-  }
+  [[nodiscard]] PacketObserver* observer() const { return observer_; }
+  [[nodiscard]] SiteId site() const { return site_; }
 
   [[nodiscard]] bool busy() const { return sim_.now() < busy_until_; }
   [[nodiscard]] sim::RateBps rate() const { return rate_; }
@@ -76,9 +66,8 @@ class Link {
   sim::RateBps rate_;
   TimeNs delay_;
   Node* dst_;
-  regress::RunDigest* digest_ = nullptr;
-  regress::EntityId digest_entity_ = 0;
-  DeliveryObserver observer_;
+  PacketObserver* observer_ = nullptr;
+  SiteId site_ = 0;
   TimeNs busy_until_ = 0;
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t packets_sent_ = 0;

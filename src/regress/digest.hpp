@@ -20,9 +20,10 @@
 // the divergence finder then re-runs the cell with a windowed journal armed
 // and reports the first event inside that window (time, entity, kind).
 //
-// Cost contract: components hold a RunDigest* that defaults to null — the
-// hot path pays exactly one predictable branch when digests are off (the
-// same idiom as Port::set_tracer) and one out-of-line call when they are on.
+// Cost contract: components never hold a RunDigest. They report packet
+// events to a net::PacketObserver (one predictable branch when nothing
+// observes them), and experiments::PacketPlanes folds the events of digested
+// components here with one out-of-line call each.
 #pragma once
 
 #include <array>

@@ -51,7 +51,7 @@ inline constexpr EventId kInvalidEventId = 0;
 /// begin_dispatch()/end_dispatch() around every event callback and
 /// on_schedule()/on_cancel() per queue operation — but ONLY while a hook is
 /// attached, so the un-instrumented cost is one null check per call site
-/// (the same contract as Port::set_tracer). Declared here (not in
+/// (the same contract as net::PacketObserver). Declared here (not in
 /// telemetry/) so the kernel stays free of upward dependencies; the concrete
 /// implementation lives in telemetry::Profiler.
 class DispatchHook {
@@ -168,19 +168,8 @@ class Simulator {
     return queue_compactions_;
   }
 
-  /// True when the build carries per-event wall-clock dispatch profiling
-  /// (configure with -DPMSB_PROFILE_DISPATCH=ON; off by default because the
-  /// clock reads dominate small callbacks).
-  [[nodiscard]] static constexpr bool dispatch_profiling_enabled() {
-#ifdef PMSB_PROFILE_DISPATCH
-    return true;
-#else
-    return false;
-#endif
-  }
-  /// Total wall-clock nanoseconds spent inside event callbacks; 0 unless
-  /// dispatch_profiling_enabled().
-  [[nodiscard]] std::uint64_t dispatch_wall_ns() const { return dispatch_wall_ns_; }
+  /// Always false; kept because perfbench's build guard still calls it.
+  [[nodiscard]] static constexpr bool dispatch_profiling_enabled() { return false; }
 
   /// Attaches a dispatch hook (nullptr to detach). The hook must outlive
   /// its attachment; telemetry::Profiler detaches itself on destruction.
@@ -218,7 +207,6 @@ class Simulator {
   std::uint64_t executed_events_ = 0;
   std::uint64_t cancelled_events_ = 0;
   std::uint64_t queue_compactions_ = 0;
-  std::uint64_t dispatch_wall_ns_ = 0;
   DispatchHook* hook_ = nullptr;
   bool stop_requested_ = false;
 };

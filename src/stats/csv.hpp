@@ -9,7 +9,6 @@
 
 #include "stats/fct.hpp"
 #include "stats/queue_trace.hpp"
-#include "stats/throughput.hpp"
 
 namespace pmsb::stats {
 
@@ -69,15 +68,6 @@ inline void write_trace_csv(const std::string& path, const QueueTracer& tracer) 
   csv.row({"time_us", "bytes"});
   for (const auto& s : tracer.samples()) {
     csv.row({std::to_string(sim::to_microseconds(s.time)), std::to_string(s.bytes)});
-  }
-}
-
-/// One row per throughput sample: time_us, gbps.
-inline void write_throughput_csv(const std::string& path, const ThroughputMeter& meter) {
-  CsvWriter csv(path);
-  csv.row({"time_us", "gbps"});
-  for (const auto& s : meter.samples()) {
-    csv.row({std::to_string(sim::to_microseconds(s.time)), std::to_string(s.gbps)});
   }
 }
 

@@ -137,7 +137,7 @@ struct RunTelemetry {
       // Post-mortems want the tail of the event stream, so ring mode.
       tracer = std::make_unique<trace::Tracer>(1'000'000,
                                                trace::OverflowPolicy::kRingBuffer);
-      sc.trace_port().set_tracer(tracer.get());
+      sc.install_tracer(*tracer);
     }
     if (!ts_path.empty()) {
       sampler = std::make_unique<telemetry::TimeSeriesSampler>(sc.simulator(), period);

@@ -123,65 +123,13 @@ void Port::set_profiler(telemetry::Profiler* profiler) {
   kind_should_mark_ = profiler_->intern("ecn." + marking_->name() + ".should_mark");
 }
 
-void Port::set_span_tracer(trace::SpanTracer* spans, const std::string& node) {
-  spans_ = spans;
-  span_node_ = spans != nullptr ? spans->intern_node(node) : trace::kNoNode;
-}
-
-namespace {
-
-regress::EventKind to_digest_kind(trace::EventKind kind) {
-  switch (kind) {
-    case trace::EventKind::kEnqueue: return regress::EventKind::kEnqueue;
-    case trace::EventKind::kDequeue: return regress::EventKind::kDequeue;
-    case trace::EventKind::kMark: return regress::EventKind::kMark;
-    case trace::EventKind::kDrop: return regress::EventKind::kDrop;
-  }
-  return regress::EventKind::kEnqueue;
-}
-
-trace::SpanPhase to_span_phase(trace::EventKind kind) {
-  switch (kind) {
-    case trace::EventKind::kEnqueue: return trace::SpanPhase::kEnqueue;
-    case trace::EventKind::kDequeue: return trace::SpanPhase::kDequeue;
-    case trace::EventKind::kMark: return trace::SpanPhase::kMark;
-    case trace::EventKind::kDrop: return trace::SpanPhase::kDrop;
-  }
-  return trace::SpanPhase::kEnqueue;
-}
-
-}  // namespace
-
-void Port::trace_event(trace::EventKind kind, const Packet& pkt, std::size_t queue) {
-  if (digest_ != nullptr) {
-    digest_->event(digest_entity_, to_digest_kind(kind),
-                   static_cast<std::int64_t>(sim_.now()), pkt.id,
-                   (static_cast<std::uint64_t>(queue) << 48) | sched_->total_bytes());
-  }
-  if (tracer_ != nullptr) {
-    tracer_->record({sim_.now(), kind, pkt.id, pkt.flow_id, queue,
-                     sched_->total_bytes()});
-  }
-  if (spans_ != nullptr && spans_->wants(pkt.flow_id)) {
-    trace::SpanRecord span;
-    span.time = sim_.now();
-    span.phase = to_span_phase(kind);
-    span.packet = pkt.id;
-    span.flow = pkt.flow_id;
-    span.node = span_node_;
-    span.queue = queue;
-    span.seq = pkt.seq;
-    span.size_bytes = pkt.size_bytes;
-    span.marked = pkt.ce;
-    spans_->record(span);
-  }
-}
-
 void Port::drop(const Packet& pkt, std::size_t queue, DropReason reason) {
   ++stats_.dropped_packets;
   stats_.dropped_bytes += pkt.size_bytes;
   ++stats_.dropped_by_reason[static_cast<std::size_t>(reason)];
-  trace_event(trace::EventKind::kDrop, pkt, queue);
+  if (observer_ != nullptr) {
+    observer_->on_packet(site_, net::PacketEvent::kDrop, pkt, context(queue));
+  }
 }
 
 void Port::handle(Packet pkt) {
@@ -209,10 +157,14 @@ void Port::handle(Packet pkt) {
       pkt.ce = true;
       ++stats_.marked_enqueue;
       ++stats_.marked_per_queue[q];
-      trace_event(trace::EventKind::kMark, pkt, q);
+      if (observer_ != nullptr) {
+        observer_->on_packet(site_, net::PacketEvent::kMark, pkt, context(q));
+      }
     }
   }
-  trace_event(trace::EventKind::kEnqueue, pkt, q);
+  if (observer_ != nullptr) {
+    observer_->on_packet(site_, net::PacketEvent::kEnqueue, pkt, context(q));
+  }
   {
     telemetry::ProfileScope sched_scope(profiler_, kind_sched_enqueue_);
     sched_->enqueue(q, std::move(pkt));
@@ -246,10 +198,14 @@ void Port::try_transmit() {
       pkt.ce = true;
       ++stats_.marked_dequeue;
       ++stats_.marked_per_queue[out->queue];
-      trace_event(trace::EventKind::kMark, pkt, out->queue);
+      if (observer_ != nullptr) {
+        observer_->on_packet(site_, net::PacketEvent::kMark, pkt, context(out->queue));
+      }
     }
   }
-  trace_event(trace::EventKind::kDequeue, pkt, out->queue);
+  if (observer_ != nullptr) {
+    observer_->on_packet(site_, net::PacketEvent::kDequeue, pkt, context(out->queue));
+  }
   if (pool_ != nullptr) pool_->release(pool_slot_, pkt.size_bytes);
   transmitting_ = true;
   const TimeNs tx_done = link_->transmit(std::move(pkt));

@@ -13,7 +13,7 @@
 #include "ecn/marking.hpp"
 #include "net/link.hpp"
 #include "net/packet.hpp"
-#include "regress/digest.hpp"
+#include "net/packet_observer.hpp"
 #include "sched/factory.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/simulator.hpp"
@@ -22,8 +22,6 @@
 #include "switchlib/occupancy.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/profiler.hpp"
-#include "trace/spans.hpp"
-#include "trace/tracer.hpp"
 
 namespace pmsb::switchlib {
 
@@ -89,9 +87,15 @@ class Port {
     return policy_->threshold_bytes(admission_request(0));
   }
 
-  /// Attaches a structured event tracer (nullptr to detach). The tracer
-  /// must outlive the port.
-  void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
+  /// Reports enqueue / dequeue / mark / drop to `observer` as `site`
+  /// (nullptr to detach), with the packet's queue and the port occupancy at
+  /// the event. The observer must outlive the port.
+  void set_observer(net::PacketObserver* observer, net::SiteId site) {
+    observer_ = observer;
+    site_ = site;
+  }
+  [[nodiscard]] net::PacketObserver* observer() const { return observer_; }
+  [[nodiscard]] net::SiteId site() const { return site_; }
 
   /// Attaches a profiler (nullptr to detach): handle() and the transmit
   /// loop become "port.handle"/"port.transmit" scopes, with nested
@@ -99,20 +103,6 @@ class Port {
   /// so scheduler and marking cost is attributed separately. Kind names are
   /// interned here; the packet path stays string-free.
   void set_profiler(telemetry::Profiler* profiler);
-
-  /// Attaches a span tracer recording this port's lifecycle events
-  /// (enqueue/dequeue/mark/drop) for watched flows as `node` (nullptr to
-  /// detach). Same cost contract as set_tracer.
-  void set_span_tracer(trace::SpanTracer* spans, const std::string& node);
-
-  /// Feeds this port's canonical events (enqueue/dequeue/mark/drop) into a
-  /// run digest as `entity` (nullptr to detach). Same cost contract as
-  /// set_tracer: one null check on the packet path when off. The digest
-  /// must outlive the port.
-  void set_digest(regress::RunDigest* digest, regress::EntityId entity) {
-    digest_ = digest;
-    digest_entity_ = entity;
-  }
 
   /// Registers this port's instruments in `registry` under `labels`
   /// (e.g. {{"switch","leaf0"},{"port","2"}}): every PortStats cell as a
@@ -143,6 +133,9 @@ class Port {
             .port_budget = buffer_bytes_,
             .pool = pool_};
   }
+  [[nodiscard]] net::PacketContext context(std::size_t queue) const {
+    return {.queue = queue, .port_bytes = sched_->total_bytes()};
+  }
   [[nodiscard]] ecn::PortSnapshot snapshot(std::size_t queue,
                                            std::uint64_t extra_port_bytes,
                                            std::uint64_t extra_queue_bytes,
@@ -158,19 +151,15 @@ class Port {
   Classifier classifier_;
   BufferPool* pool_ = nullptr;
   BufferPool::SlotId pool_slot_ = 0;
-  trace::Tracer* tracer_ = nullptr;
-  trace::SpanTracer* spans_ = nullptr;
-  trace::NodeId span_node_ = trace::kNoNode;
+  net::PacketObserver* observer_ = nullptr;
+  net::SiteId site_ = 0;
   telemetry::Profiler* profiler_ = nullptr;
   telemetry::Profiler::KindId kind_handle_ = 0;
   telemetry::Profiler::KindId kind_transmit_ = 0;
   telemetry::Profiler::KindId kind_sched_enqueue_ = 0;
   telemetry::Profiler::KindId kind_sched_dequeue_ = 0;
   telemetry::Profiler::KindId kind_should_mark_ = 0;
-  regress::RunDigest* digest_ = nullptr;
-  regress::EntityId digest_entity_ = 0;
   bool transmitting_ = false;
-  void trace_event(trace::EventKind kind, const Packet& pkt, std::size_t queue);
   PortStats stats_;
   // EWMA estimators (populated only when config.average_occupancy is set).
   std::vector<OccupancyEwma> queue_ewma_;

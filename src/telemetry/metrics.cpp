@@ -209,8 +209,6 @@ void bind_simulator_metrics(MetricsRegistry& registry, const sim::Simulator& sim
                     [s] { return static_cast<double>(s->pending_events()); }, "events");
   registry.gauge_fn("sim.max_heap_depth", {},
                     [s] { return static_cast<double>(s->max_heap_depth()); }, "events");
-  registry.counter_fn("sim.dispatch_wall_ns", {}, [s] { return s->dispatch_wall_ns(); },
-                      "ns");
 }
 
 }  // namespace pmsb::telemetry

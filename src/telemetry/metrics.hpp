@@ -179,9 +179,8 @@ class MetricsRegistry {
 };
 
 /// Publishes the simulation kernel's own counters (events executed /
-/// cancelled, max heap depth, pending events, and — when the build enables
-/// PMSB_PROFILE_DISPATCH — wall-clock nanoseconds spent in event callbacks)
-/// as probe instruments. The simulator must outlive the registry.
+/// cancelled, max heap depth, pending events) as probe instruments. The
+/// simulator must outlive the registry.
 void bind_simulator_metrics(MetricsRegistry& registry, const sim::Simulator& simulator);
 
 }  // namespace pmsb::telemetry

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 
@@ -28,22 +29,6 @@ namespace {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
-}
-
-// Median cost of one clock read over a few batches of back-to-back reads:
-// about a millisecond, paid once per profiler when it first reports.
-[[nodiscard]] std::int64_t measure_clock_read_ns() {
-  constexpr int kBatches = 9;
-  constexpr int kReads = 2048;
-  std::array<double, kBatches> per_read{};
-  for (double& ns : per_read) {
-    const std::int64_t t0 = wall_now_ns();
-    std::int64_t last = t0;
-    for (int i = 0; i < kReads; ++i) last = wall_now_ns();
-    ns = static_cast<double>(last - t0) / kReads;
-  }
-  std::nth_element(per_read.begin(), per_read.begin() + kBatches / 2, per_read.end());
-  return std::llround(per_read[kBatches / 2]);
 }
 
 // Sim-time deltas between consecutive dispatches span same-timestamp ties
@@ -103,12 +88,10 @@ void Profiler::end_timed_scope() {
   // clock granularity making children appear longer than the parent.
   self.wall_ns += elapsed >= frame.child_ns ? elapsed - frame.child_ns : 0;
   total.wall_ns += elapsed;
-  // Each interval holds one read's worth of its own two reads, and both
-  // reads of every scope nested in it. The other half of a child's reads
-  // lies outside the child but inside the parent, so it comes off the
-  // parent's self time.
-  self.reads += 1 + frame.children;
-  total.reads += 1 + 2 * frame.descendants;
+  ++self.intervals;
+  ++total.intervals;
+  self.nested += frame.children;
+  total.nested += frame.descendants;
   if (!stack_.empty()) {
     ScopeFrame& parent = stack_.back();
     parent.child_ns += elapsed;
@@ -139,17 +122,59 @@ void Profiler::end_dispatch() {
   if (timing_dispatch_) {
     const std::int64_t end_ns = read_clock();
     dispatch_wall_.wall_ns += static_cast<std::uint64_t>(end_ns - dispatch_start_ns_);
-    // Reads made by the scopes inside, plus one of the dispatch's own two.
-    dispatch_wall_.reads += clock_reads_ - dispatch_start_reads_;
+    ++dispatch_wall_.intervals;
+    // Every scope inside read the clock twice; the dispatch's end read once.
+    dispatch_wall_.nested += (clock_reads_ - dispatch_start_reads_ - 1) / 2;
   }
   untimed_ = false;
   timing_dispatch_ = false;
   untimed_depth_ = 0;
 }
 
-std::uint64_t Profiler::clock_read_ns() const {
-  if (clock_read_ns_ < 0) clock_read_ns_ = measure_clock_read_ns();
-  return static_cast<std::uint64_t>(clock_read_ns_);
+// Medians over batches of a private simulator's event chain, each event
+// opening an outer scope around one empty scope. As in a run, about one
+// dispatch in kSamplePeriod is timed and the kernel runs in between, so the
+// timed path is measured with the branch history and caches a run gives
+// it: the empty scope's own interval is `own`, and the outer interval less
+// its own is `scope`.
+Profiler::Overhead Profiler::measure_overhead() {
+  constexpr int kBatches = 9;
+  constexpr int kDispatches = 128 * static_cast<int>(kSamplePeriod);
+  std::array<double, kBatches> own{};
+  std::array<double, kBatches> scope{};
+  for (int b = 0; b < kBatches; ++b) {
+    sim::Simulator simulator;
+    Profiler p;
+    p.attach(simulator);
+    const KindId outer = p.intern("outer");
+    const KindId inner = p.intern("inner");
+    int left = kDispatches;
+    std::function<void()> event = [&] {
+      {
+        ProfileScope o(&p, outer);
+        ProfileScope empty(&p, inner);
+      }
+      if (--left > 0) simulator.schedule_in(1, event);
+    };
+    simulator.schedule_at(0, event);
+    simulator.run();
+    p.detach();
+    const Timed& in = p.kinds_[inner].sampled_total;
+    const Timed& out = p.kinds_[outer].sampled_total;
+    own[b] = static_cast<double>(in.wall_ns) / static_cast<double>(in.intervals);
+    scope[b] =
+        static_cast<double>(out.wall_ns) / static_cast<double>(out.intervals) - own[b];
+  }
+  std::nth_element(own.begin(), own.begin() + kBatches / 2, own.end());
+  std::nth_element(scope.begin(), scope.begin() + kBatches / 2, scope.end());
+  const auto own_ns = static_cast<std::uint64_t>(std::llround(own[kBatches / 2]));
+  const auto scope_ns = static_cast<std::uint64_t>(std::llround(scope[kBatches / 2]));
+  return {.own = own_ns, .scope = std::max(scope_ns, own_ns)};
+}
+
+const Profiler::Overhead& Profiler::overhead() const {
+  if (!overhead_) overhead_ = measure_overhead();
+  return *overhead_;
 }
 
 double Profiler::sample_scale() const {
@@ -158,26 +183,32 @@ double Profiler::sample_scale() const {
                                         static_cast<double>(sampled_dispatches_);
 }
 
-double Profiler::corrected(const Timed& part, double scale) const {
-  const std::uint64_t cost = part.reads * clock_read_ns();
+double Profiler::corrected(const Timed& part, std::uint64_t per_nested,
+                           double scale) const {
+  const std::uint64_t cost = part.intervals * overhead().own + part.nested * per_nested;
   return part.wall_ns > cost ? static_cast<double>(part.wall_ns - cost) * scale : 0.0;
 }
 
 std::uint64_t Profiler::dispatch_wall_ns() const {
-  return static_cast<std::uint64_t>(std::llround(corrected(dispatch_wall_, sample_scale())));
+  return static_cast<std::uint64_t>(
+      std::llround(corrected(dispatch_wall_, overhead().scope, sample_scale())));
 }
 
 std::uint64_t Profiler::total_wall_ns(KindId kind) const {
   const KindStats& k = kinds_.at(kind);
-  return static_cast<std::uint64_t>(std::llround(
-      corrected(k.direct_total, 1.0) + corrected(k.sampled_total, sample_scale())));
+  const std::uint64_t per_nested = overhead().scope;
+  return static_cast<std::uint64_t>(
+      std::llround(corrected(k.direct_total, per_nested, 1.0) +
+                   corrected(k.sampled_total, per_nested, sample_scale())));
 }
 
 std::uint64_t Profiler::self_wall_ns(KindId kind) const {
   const KindStats& k = kinds_.at(kind);
-  const auto self = static_cast<std::uint64_t>(std::llround(
-      corrected(k.direct_self, 1.0) + corrected(k.sampled_self, sample_scale())));
-  // An overestimated clock cost must not push self past total.
+  const std::uint64_t per_child = overhead().scope - overhead().own;
+  const auto self = static_cast<std::uint64_t>(
+      std::llround(corrected(k.direct_self, per_child, 1.0) +
+                   corrected(k.sampled_self, per_child, sample_scale())));
+  // An overestimated overhead must not push self past total.
   return std::min(self, total_wall_ns(kind));
 }
 

@@ -7,7 +7,7 @@
 // RAII scopes (ProfileScope) whose self-time excludes nested scopes, so
 // "port.handle" and the "sched.*.dequeue" it calls are attributed separately.
 //
-// Cost contract (same as Port::set_tracer / set_digest): everything is OFF
+// Cost contract (same as net::PacketObserver): everything is OFF
 // by default and costs exactly one null check per instrumented call site.
 // A component holds a `Profiler*` (nullptr when off) plus KindIds interned
 // once at set_profiler() time — the hot path never touches a string.
@@ -20,8 +20,9 @@
 // attribution; scopes inside an untimed one only bump their count (inline,
 // no clock read); scopes outside any dispatch are always timed. The wall
 // fields are estimates: sampled sums scaled by dispatches/sampled_dispatches,
-// with the cost of the profiler's own clock reads (calibrated once, on first
-// report) subtracted from every timed interval.
+// with what the profiler itself adds to a timed interval (its clock reads
+// and frame bookkeeping, calibrated once on first report by timing empty
+// scopes) subtracted from it.
 //
 // Output is a `pmsb.profile/1` JSON document (to_json), spliced verbatim
 // into run manifests (`RunManifest::set_profile_json`) and written
@@ -49,6 +50,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -121,8 +123,9 @@ class Profiler final : public sim::DispatchHook {
   [[nodiscard]] const std::string& kind_name(KindId kind) const {
     return kinds_.at(kind).name;
   }
-  /// Cost of one clock read, measured on first use and then fixed.
-  [[nodiscard]] std::uint64_t clock_read_ns() const;
+  /// Cost of one clock read on the timed path (an empty scope's own
+  /// interval), measured on first use and then fixed.
+  [[nodiscard]] std::uint64_t clock_read_ns() const { return overhead().own; }
   /// Clock reads made so far; times clock_read_ns() is the wall time the
   /// profiler itself added to the run.
   [[nodiscard]] std::uint64_t clock_reads() const { return clock_reads_; }
@@ -131,11 +134,21 @@ class Profiler final : public sim::DispatchHook {
   [[nodiscard]] std::string to_json() const;
 
  private:
-  /// Raw sums over timed intervals, with the number of clock reads that
-  /// fell inside them (each costs clock_read_ns() of the measured time).
+  /// Raw sums over timed intervals, with what timing added to them: each
+  /// interval holds its own share of its two clock reads, and each scope
+  /// nested in it adds its enter/exit cost.
   struct Timed {
     std::uint64_t wall_ns = 0;
-    std::uint64_t reads = 0;
+    std::uint64_t intervals = 0;
+    std::uint64_t nested = 0;
+  };
+  /// What timing adds, in ns: `own` to the interval it measures, `scope` per
+  /// empty scope to the interval around it (clock reads and frame
+  /// bookkeeping). A self time loses `scope - own` per child, because the
+  /// child's own interval is already subtracted from it.
+  struct Overhead {
+    std::uint64_t own = 0;
+    std::uint64_t scope = 0;
   };
   struct KindStats {
     std::string name;
@@ -154,11 +167,17 @@ class Profiler final : public sim::DispatchHook {
     std::uint64_t descendants = 0;  ///< all nested timed scopes
   };
 
-  void begin_timed_scope(KindId kind);
-  void end_timed_scope();
+  // Out of line everywhere, so the calibration times the path real scopes take.
+  [[gnu::noinline]] void begin_timed_scope(KindId kind);
+  [[gnu::noinline]] void end_timed_scope();
   [[nodiscard]] std::int64_t read_clock();
-  /// `part` with its clock reads subtracted, scaled by `scale`.
-  [[nodiscard]] double corrected(const Timed& part, double scale) const;
+  /// Times empty scopes in a timed dispatch of a private profiler.
+  [[nodiscard]] static Overhead measure_overhead();
+  [[nodiscard]] const Overhead& overhead() const;
+  /// `part` less its own overhead and `per_nested` per nested scope, scaled
+  /// by `scale`.
+  [[nodiscard]] double corrected(const Timed& part, std::uint64_t per_nested,
+                                 double scale) const;
   [[nodiscard]] double sample_scale() const;
 
   sim::Simulator* sim_ = nullptr;
@@ -174,7 +193,7 @@ class Profiler final : public sim::DispatchHook {
   std::int64_t dispatch_start_ns_ = 0;
   std::uint64_t dispatch_start_reads_ = 0;
   std::uint64_t clock_reads_ = 0;
-  mutable std::int64_t clock_read_ns_ = -1;  ///< -1 until calibrated
+  mutable std::optional<Overhead> overhead_;  ///< empty until calibrated
   std::uint64_t events_scheduled_ = 0;
   std::uint64_t events_cancelled_ = 0;
   Histogram sim_delta_ns_;

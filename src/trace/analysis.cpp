@@ -41,11 +41,11 @@ namespace {
   return as_u64(*v);
 }
 
-[[nodiscard]] SpanPhase phase_from_name(const std::string& name,
-                                        const std::string& origin) {
-  for (std::size_t i = 0; i < kNumSpanPhases; ++i) {
-    const auto phase = static_cast<SpanPhase>(i);
-    if (name == span_phase_name(phase)) return phase;
+[[nodiscard]] net::PacketEvent phase_from_name(const std::string& name,
+                                               const std::string& origin) {
+  for (std::size_t i = 0; i < net::kNumPacketEvents; ++i) {
+    const auto phase = static_cast<net::PacketEvent>(i);
+    if (name == net::packet_event_name(phase)) return phase;
   }
   fail(origin, "unknown span phase '" + name + "'");
 }
@@ -121,16 +121,16 @@ std::vector<Span> read_spans_ndjson(const std::string& path) {
   return parse_spans_ndjson(slurp(path), path);
 }
 
-const char* span_phase_component(SpanPhase phase) {
+const char* span_phase_component(net::PacketEvent phase) {
   switch (phase) {
-    case SpanPhase::kSend:
-    case SpanPhase::kAck: return "sender";
-    case SpanPhase::kEnqueue:
-    case SpanPhase::kMark: return "queueing";
-    case SpanPhase::kDequeue: return "serialization";
-    case SpanPhase::kLinkTx: return "propagation";
-    case SpanPhase::kRx: return "receiver";
-    case SpanPhase::kDrop: return "loss_recovery";
+    case net::PacketEvent::kSend:
+    case net::PacketEvent::kAck: return "sender";
+    case net::PacketEvent::kEnqueue:
+    case net::PacketEvent::kMark: return "queueing";
+    case net::PacketEvent::kDequeue: return "serialization";
+    case net::PacketEvent::kLinkTx: return "propagation";
+    case net::PacketEvent::kRx: return "receiver";
+    case net::PacketEvent::kDrop: return "loss_recovery";
   }
   return "?";
 }
@@ -156,9 +156,9 @@ FlowBreakdown analyze_flow(const std::vector<Span>& spans, net::FlowId flow) {
   for (std::size_t i = 0; i < out.timeline.size(); ++i) {
     const Span& s = out.timeline[i];
     packets.insert(s.packet);
-    if (s.phase == SpanPhase::kMark) ++out.marks;
-    if (s.phase == SpanPhase::kDrop) ++out.drops;
-    if (s.phase == SpanPhase::kSend && s.retransmit) ++out.retransmits;
+    if (s.phase == net::PacketEvent::kMark) ++out.marks;
+    if (s.phase == net::PacketEvent::kDrop) ++out.drops;
+    if (s.phase == net::PacketEvent::kSend && s.retransmit) ++out.retransmits;
     if (i + 1 < out.timeline.size()) {
       // Charge the interval to the phase that opened it.
       out.by_component[span_phase_component(s.phase)] +=

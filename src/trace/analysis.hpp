@@ -17,7 +17,7 @@ namespace pmsb::trace {
 /// A span read back from NDJSON — SpanRecord with the node name resolved.
 struct Span {
   sim::TimeNs time = 0;
-  SpanPhase phase = SpanPhase::kSend;
+  net::PacketEvent phase = net::PacketEvent::kSend;
   std::uint64_t packet = 0;
   net::FlowId flow = 0;
   std::string node;
@@ -39,7 +39,7 @@ struct Span {
 /// kSend/kAck -> "sender", kEnqueue/kMark -> "queueing",
 /// kDequeue -> "serialization", kLinkTx -> "propagation", kRx -> "receiver",
 /// kDrop -> "loss_recovery".
-[[nodiscard]] const char* span_phase_component(SpanPhase phase);
+[[nodiscard]] const char* span_phase_component(net::PacketEvent phase);
 
 /// One flow's FCT decomposed over its span timeline. Spans are sorted by
 /// (time, file order); the gap between consecutive spans is charged to the

@@ -19,7 +19,7 @@ void SpanTracer::write_ndjson(const std::string& path) const {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("SpanTracer::write_ndjson: cannot open " + path);
   for_each_chronological([&](const SpanRecord& s) {
-    out << "{\"t_ns\":" << s.time << ",\"phase\":\"" << span_phase_name(s.phase)
+    out << "{\"t_ns\":" << s.time << ",\"phase\":\"" << net::packet_event_name(s.phase)
         << "\",\"packet\":" << s.packet << ",\"flow\":" << s.flow
         << ",\"node\":\""
         << (s.node == kNoNode ? std::string() : json_escape(nodes_.at(s.node)))

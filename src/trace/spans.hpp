@@ -4,17 +4,18 @@
 // answers "what happened to THIS packet" across components: the sender
 // stamps kSend, the switch port stamps kEnqueue/kMark/kDrop/kDequeue, the
 // link stamps kLinkTx (serialization done) and kRx (delivery), and the
-// sender's ack path stamps kAck. Ordering the spans of one flow by time
-// and charging each gap to the phase that OPENED it decomposes the flow's
-// FCT exactly into sender/queueing/serialization/propagation/receiver/
-// loss-recovery time — the per-packet evidence trail behind the paper's
-// marking-decision claims (see trace/analysis.hpp for the arithmetic).
+// sender's ack path stamps kAck (the net::PacketEvent vocabulary). Ordering
+// the spans of one flow by time and charging each gap to the phase that
+// OPENED it decomposes the flow's FCT exactly into sender/queueing/
+// serialization/propagation/receiver/loss-recovery time — the per-packet
+// evidence trail behind the paper's marking-decision claims (see
+// trace/analysis.hpp for the arithmetic).
 //
-// Capture is opt-in per flow (`trace_flows=` in pmsbsim → watch_flow()):
-// components hold a SpanTracer* that is null when tracing is off, so the
-// packet path pays one null check — the same zero-cost-when-off contract
-// as Tracer/RunDigest/Profiler. Node names are interned once at wiring
-// time; the hot path records integer ids only.
+// Capture is opt-in per flow (`trace_flows=` in pmsbsim → watch_flow()).
+// Components do not know this class: they report net::PacketEvents to
+// their observer, and experiments::PacketPlanes turns the events of watched
+// flows into SpanRecords. Node names are interned once at wiring time; the
+// hot path records integer ids only.
 #pragma once
 
 #include <cstdint>
@@ -24,36 +25,10 @@
 #include <vector>
 
 #include "net/packet.hpp"
+#include "net/packet_observer.hpp"
 #include "sim/time.hpp"
 
 namespace pmsb::trace {
-
-enum class SpanPhase : std::uint8_t {
-  kSend,     ///< transport handed the segment to its host link
-  kEnqueue,  ///< switch port accepted the packet into a queue
-  kDequeue,  ///< scheduler picked the packet; serialization starts
-  kLinkTx,   ///< last bit left the link (serialization done)
-  kRx,       ///< packet delivered to the destination
-  kAck,      ///< sender processed the ack covering this packet
-  kMark,     ///< ECN mark decision on the packet
-  kDrop,     ///< packet dropped (buffer or fault)
-};
-
-inline constexpr std::size_t kNumSpanPhases = 8;
-
-[[nodiscard]] inline const char* span_phase_name(SpanPhase phase) {
-  switch (phase) {
-    case SpanPhase::kSend: return "send";
-    case SpanPhase::kEnqueue: return "enqueue";
-    case SpanPhase::kDequeue: return "dequeue";
-    case SpanPhase::kLinkTx: return "link_tx";
-    case SpanPhase::kRx: return "rx";
-    case SpanPhase::kAck: return "ack";
-    case SpanPhase::kMark: return "mark";
-    case SpanPhase::kDrop: return "drop";
-  }
-  return "?";
-}
 
 /// Interned node-name handle (SpanTracer::intern_node).
 using NodeId = std::uint32_t;
@@ -62,7 +37,7 @@ inline constexpr NodeId kNoNode = 0xffffffff;
 
 struct SpanRecord {
   sim::TimeNs time = 0;
-  SpanPhase phase = SpanPhase::kSend;
+  net::PacketEvent phase = net::PacketEvent::kSend;
   std::uint64_t packet = 0;
   net::FlowId flow = 0;
   NodeId node = kNoNode;      ///< where it happened (kNoNode = n/a)
@@ -71,6 +46,8 @@ struct SpanRecord {
   std::uint32_t size_bytes = 0;
   bool marked = false;        ///< CE on the wire / ECE on the ack
   bool retransmit = false;    ///< kSend only: this is a retransmission
+
+  friend bool operator==(const SpanRecord&, const SpanRecord&) = default;
 };
 
 /// Bounded collector of SpanRecords with the Tracer's overflow semantics:
@@ -95,14 +72,9 @@ class SpanTracer {
   [[nodiscard]] bool wants(net::FlowId flow) const {
     return watch_all_ || watched_.count(flow) != 0;
   }
-  [[nodiscard]] std::size_t num_watched() const { return watched_.size(); }
 
   /// Interns `name` (wiring time, not packet path) and returns its id.
   [[nodiscard]] NodeId intern_node(const std::string& name);
-  [[nodiscard]] const std::string& node_name(NodeId id) const {
-    return nodes_.at(id);
-  }
-  [[nodiscard]] std::size_t num_nodes() const { return nodes_.size(); }
 
   void record(const SpanRecord& span) {
     if (!wants(span.flow)) return;

@@ -1,7 +1,8 @@
 // Structured per-packet event tracing for switch ports.
 //
-// Attach a Tracer to a Port to capture enqueue / dequeue / mark / drop
-// events with timestamps and buffer state. Intended for debugging marking
+// A Tracer captures one port's enqueue / dequeue / mark / drop events with
+// timestamps and buffer state (Fabric::install_tracer attaches it to the
+// fabric's trace port). Intended for debugging marking
 // behaviour and for fine-grained analysis (e.g. "which queue's packets were
 // marked while the port was over threshold" — the victim question at the
 // heart of the paper). Bounded capacity so a forgotten tracer cannot eat
@@ -20,31 +21,20 @@
 #include <vector>
 
 #include "net/packet.hpp"
+#include "net/packet_observer.hpp"
 #include "sim/time.hpp"
 
 namespace pmsb::trace {
 
-enum class EventKind : std::uint8_t { kEnqueue, kDequeue, kMark, kDrop };
-
-inline constexpr std::size_t kNumEventKinds = 4;
-
-[[nodiscard]] inline const char* event_kind_name(EventKind kind) {
-  switch (kind) {
-    case EventKind::kEnqueue: return "enqueue";
-    case EventKind::kDequeue: return "dequeue";
-    case EventKind::kMark: return "mark";
-    case EventKind::kDrop: return "drop";
-  }
-  return "?";
-}
-
 struct Record {
   sim::TimeNs time = 0;
-  EventKind kind = EventKind::kEnqueue;
+  net::PacketEvent kind = net::PacketEvent::kEnqueue;
   std::uint64_t packet = 0;
   net::FlowId flow = 0;
   std::size_t queue = 0;
   std::uint64_t port_bytes = 0;  ///< port occupancy at the event
+
+  friend bool operator==(const Record&, const Record&) = default;
 };
 
 /// What to do with a new record once `capacity` is reached.
@@ -86,7 +76,6 @@ class Tracer {
   [[nodiscard]] const std::vector<Record>& records() const { return records_; }
   /// Records lost (kDropNewest) or evicted (kRingBuffer).
   [[nodiscard]] std::uint64_t overflow() const { return overflow_; }
-  [[nodiscard]] OverflowPolicy policy() const { return policy_; }
 
   /// Visits the retained records oldest-first.
   void for_each_chronological(const std::function<void(const Record&)>& fn) const {
@@ -95,12 +84,12 @@ class Tracer {
   }
 
   /// O(1): retained events of `kind` (maintained incrementally).
-  [[nodiscard]] std::size_t count(EventKind kind) const {
+  [[nodiscard]] std::size_t count(net::PacketEvent kind) const {
     return counts_[static_cast<std::size_t>(kind)];
   }
 
   /// O(1): retained events of `kind` charged to queue `q`.
-  [[nodiscard]] std::size_t count_queue(EventKind kind, std::size_t q) const {
+  [[nodiscard]] std::size_t count_queue(net::PacketEvent kind, std::size_t q) const {
     if (q >= queue_counts_.size()) return 0;
     return queue_counts_[q][static_cast<std::size_t>(kind)];
   }
@@ -134,8 +123,8 @@ class Tracer {
   std::vector<Record> records_;
   std::size_t write_ = 0;  ///< ring mode: index of the oldest record
   std::uint64_t overflow_ = 0;
-  std::array<std::size_t, kNumEventKinds> counts_{};
-  std::vector<std::array<std::size_t, kNumEventKinds>> queue_counts_;
+  std::array<std::size_t, net::kNumPacketEvents> counts_{};
+  std::vector<std::array<std::size_t, net::kNumPacketEvents>> queue_counts_;
 };
 
 }  // namespace pmsb::trace

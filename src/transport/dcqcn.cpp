@@ -57,10 +57,6 @@ void DcqcnSender::send_next() {
   seq_ += payload;
   bytes_sent_ += payload;
   ++stats_.packets_sent;
-  if (digest_ != nullptr) {
-    digest_->event(digest_entity_, regress::EventKind::kSend,
-                   static_cast<std::int64_t>(sim_.now()), pkt.id, pkt.seq);
-  }
   const std::uint32_t wire = pkt.size_bytes;
   local_.send(std::move(pkt));
   // Pace the next packet at the current rate.
@@ -72,10 +68,6 @@ void DcqcnSender::send_next() {
 void DcqcnSender::on_cnp() {
   ++stats_.cnps_received;
   ++stats_.rate_cuts;
-  if (digest_ != nullptr) {
-    digest_->event(digest_entity_, regress::EventKind::kAck,
-                   static_cast<std::int64_t>(sim_.now()), stats_.cnps_received, 1);
-  }
   rt_ = rc_;
   rc_ = std::max(rc_ * (1.0 - alpha_ / 2.0), static_cast<double>(cfg_.min_rate));
   alpha_ = (1.0 - cfg_.g) * alpha_ + cfg_.g;

@@ -24,7 +24,6 @@
 
 #include "net/host.hpp"
 #include "net/packet.hpp"
-#include "regress/digest.hpp"
 #include "sim/simulator.hpp"
 #include "sim/units.hpp"
 #include "telemetry/metrics.hpp"
@@ -62,13 +61,6 @@ class DcqcnSender {
 
   /// Reaction-point input: a CNP arrived from the receiver.
   void on_cnp();
-
-  /// Feeds kSend (per paced packet) and kAck (per CNP) digest events as
-  /// `entity` (nullptr to detach). The digest must outlive the sender.
-  void set_digest(regress::RunDigest* digest, regress::EntityId entity) {
-    digest_ = digest;
-    digest_entity_ = entity;
-  }
 
   [[nodiscard]] double current_rate_bps() const { return rc_; }
   [[nodiscard]] double target_rate_bps() const { return rt_; }
@@ -121,8 +113,6 @@ class DcqcnSender {
   bool started_ = false;
   bool send_loop_active_ = false;
   DcqcnSenderStats stats_;
-  regress::RunDigest* digest_ = nullptr;
-  regress::EntityId digest_entity_ = 0;
 };
 
 class DcqcnReceiver {

@@ -58,11 +58,6 @@ void DctcpSender::set_profiler(telemetry::Profiler* profiler) {
   kind_ack_ = profiler_->intern("transport.ack");
 }
 
-void DctcpSender::set_span_tracer(trace::SpanTracer* spans, const std::string& node) {
-  spans_ = spans;
-  span_node_ = spans != nullptr ? spans->intern_node(node) : trace::kNoNode;
-}
-
 void DctcpSender::start(TimeNs at) {
   if (started_) return;
   started_ = true;
@@ -93,21 +88,9 @@ void DctcpSender::send_segment(std::uint64_t seq, bool is_retransmit) {
   pkt.seq = seq;
   pkt.fin = !infinite() && seq + payload >= flow_bytes_;
   pkt.ect = cfg_.ecn_enabled;
-  if (digest_ != nullptr) {
-    digest_->event(digest_entity_, regress::EventKind::kSend,
-                   static_cast<std::int64_t>(sim_.now()), pkt.id, seq);
-  }
-  if (spans_ != nullptr && spans_->wants(flow_)) {
-    trace::SpanRecord span;
-    span.time = sim_.now();
-    span.phase = trace::SpanPhase::kSend;
-    span.packet = pkt.id;
-    span.flow = flow_;
-    span.node = span_node_;
-    span.seq = seq;
-    span.size_bytes = pkt.size_bytes;
-    span.retransmit = is_retransmit || seq < snd_max_;
-    spans_->record(span);
+  if (observer_ != nullptr) {
+    observer_->on_packet(site_, net::PacketEvent::kSend, pkt,
+                         {.retransmit = is_retransmit || seq < snd_max_});
   }
   local_.send(std::move(pkt));
   ++stats_.segments_sent;
@@ -191,18 +174,6 @@ void DctcpSender::maybe_cut_on_mark() {
 void DctcpSender::on_ack(const Packet& ack) {
   if (completed_) return;
   telemetry::ProfileScope profile(profiler_, kind_ack_);
-  if (spans_ != nullptr && spans_->wants(flow_)) {
-    trace::SpanRecord span;
-    span.time = sim_.now();
-    span.phase = trace::SpanPhase::kAck;
-    span.packet = ack.id;
-    span.flow = flow_;
-    span.node = span_node_;
-    span.seq = ack.ack;
-    span.size_bytes = ack.size_bytes;
-    span.marked = ack.ece;
-    spans_->record(span);
-  }
   ++stats_.acks_received;
   {
     // Receivers echo the data packet's send timestamp in every ACK.
@@ -220,10 +191,9 @@ void DctcpSender::on_ack(const Packet& ack) {
     marked = false;
     ++stats_.ece_ignored;
   }
-  if (digest_ != nullptr) {
-    digest_->event(digest_entity_, regress::EventKind::kAck,
-                   static_cast<std::int64_t>(sim_.now()), ack.ack,
-                   (ack.ece ? 1u : 0u) | (marked ? 2u : 0u));
+  if (observer_ != nullptr) {
+    observer_->on_packet(site_, net::PacketEvent::kAck, ack,
+                         {.ignored = ack.ece && !marked});
   }
 
   if (ack.ack > snd_una_) {

@@ -22,13 +22,12 @@
 
 #include "net/host.hpp"
 #include "net/packet.hpp"
-#include "regress/digest.hpp"
+#include "net/packet_observer.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "sim/units.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/profiler.hpp"
-#include "trace/spans.hpp"
 #include "transport/rtt_estimator.hpp"
 
 namespace pmsb::transport {
@@ -124,12 +123,15 @@ class DctcpSender {
   /// Observer invoked per RTT sample (for the paper's RTT CDFs).
   void set_rtt_observer(std::function<void(TimeNs)> obs) { rtt_observer_ = std::move(obs); }
 
-  /// Feeds kSend (per segment) and kAck (per processed ACK) digest events as
-  /// `entity` (nullptr to detach). The digest must outlive the sender.
-  void set_digest(regress::RunDigest* digest, regress::EntityId entity) {
-    digest_ = digest;
-    digest_entity_ = entity;
+  /// Reports kSend per segment (with the retransmit bit) and kAck per
+  /// processed ACK (with the PMSB(e) ignored bit) to `observer` as `site`
+  /// (nullptr to detach). The observer must outlive the sender.
+  void set_observer(net::PacketObserver* observer, net::SiteId site) {
+    observer_ = observer;
+    site_ = site;
   }
+  [[nodiscard]] net::PacketObserver* observer() const { return observer_; }
+  [[nodiscard]] net::SiteId site() const { return site_; }
 
   /// Registers this sender's instruments under `labels`: every SenderStats
   /// cell as a bound counter plus live cwnd / alpha probe gauges.
@@ -139,11 +141,6 @@ class DctcpSender {
   /// Attaches a profiler (nullptr to detach): segment transmission and ACK
   /// processing become "transport.send" / "transport.ack" scopes.
   void set_profiler(telemetry::Profiler* profiler);
-
-  /// Attaches a span tracer recording kSend (with the retransmit flag) per
-  /// segment and kAck per processed ACK as `node` when this flow is watched
-  /// (nullptr to detach). Same cost contract as set_digest.
-  void set_span_tracer(trace::SpanTracer* spans, const std::string& node);
 
   // --- Introspection ---
   [[nodiscard]] double cwnd_bytes() const { return cwnd_; }
@@ -226,10 +223,8 @@ class DctcpSender {
   SenderStats stats_;
   CompletionCallback on_complete_;
   std::function<void(TimeNs)> rtt_observer_;
-  regress::RunDigest* digest_ = nullptr;
-  regress::EntityId digest_entity_ = 0;
-  trace::SpanTracer* spans_ = nullptr;
-  trace::NodeId span_node_ = trace::kNoNode;
+  net::PacketObserver* observer_ = nullptr;
+  net::SiteId site_ = 0;
   telemetry::Profiler* profiler_ = nullptr;
   telemetry::Profiler::KindId kind_send_ = 0;
   telemetry::Profiler::KindId kind_ack_ = 0;

@@ -68,20 +68,3 @@ TEST(Csv, TraceExport) {
   EXPECT_NE(text.find("time_us,bytes"), std::string::npos);
   EXPECT_NE(text.find("4500"), std::string::npos);
 }
-
-TEST(Csv, ThroughputExport) {
-  sim::Simulator sim;
-  std::uint64_t bytes = 0;
-  std::function<void()> feed = [&] {
-    bytes += 1250;
-    sim.schedule_in(sim::microseconds(1), feed);
-  };
-  sim.schedule_at(0, feed);
-  ThroughputMeter meter(sim, [&] { return bytes; }, sim::microseconds(50));
-  sim.run(sim::microseconds(500));
-  const auto path = temp_path("tput.csv");
-  write_throughput_csv(path, meter);
-  const auto text = read_all(path);
-  EXPECT_NE(text.find("time_us,gbps"), std::string::npos);
-  EXPECT_GE(std::count(text.begin(), text.end(), '\n'), 5);
-}

@@ -1,10 +1,13 @@
 // Tests for experiments::Fabric: every plane — faults, invariants, digest,
-// profiler and spans — attaches to every topology the same way, and a run
-// with all of them attached is clean and repeatable.
+// profiler and spans — attaches to every topology the same way, a run with
+// all of them attached is clean and repeatable, and the packet planes that
+// share one observer record the same together as alone.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "experiments/dumbbell.hpp"
 #include "experiments/fabric.hpp"
@@ -58,7 +61,7 @@ struct Planes {
     out.fault_forwarded = plan.forwarded();
     const trace::NodeId node = spans.intern_node(last_hop);
     spans.for_each_chronological([&](const trace::SpanRecord& s) {
-      if (s.flow == 1 && s.node == node && s.phase == trace::SpanPhase::kRx) {
+      if (s.flow == 1 && s.node == node && s.phase == net::PacketEvent::kRx) {
         ++out.last_hop_rx;
       }
     });
@@ -133,7 +136,71 @@ void expect_every_plane(const Outcome& a, const Outcome& b) {
   EXPECT_EQ(a.last_hop_rx, b.last_hop_rx);
 }
 
+/// What one dumbbell run recorded in each packet plane attached to it.
+struct PacketRecords {
+  std::string digest;  ///< empty when the digest was not attached
+  std::uint64_t digest_events = 0;
+  std::vector<trace::SpanRecord> spans;
+  std::vector<trace::Record> trace;
+};
+
+PacketRecords run_packet_planes(bool digest, bool spans, bool trace) {
+  regress::RunDigest run_digest;
+  trace::SpanTracer span_tracer;
+  span_tracer.watch_all();
+  trace::Tracer port_tracer;
+  experiments::DumbbellConfig cfg;
+  cfg.scheduler.kind = sched::SchedulerKind::kDwrr;
+  cfg.scheduler.num_queues = 2;
+  cfg.scheduler.weights = {1.0, 1.0};
+  cfg.marking.kind = ecn::MarkingKind::kPerPort;
+  cfg.marking.threshold_bytes = 30'000;
+  experiments::DumbbellScenario sc(cfg);
+  sc.add_flow({.sender = 0, .service = 0, .bytes = 400'000, .start = 0});
+  sc.add_flow({.sender = 1, .service = 1, .bytes = 400'000, .start = 0});
+  if (digest) sc.install_digest(run_digest);
+  if (spans) sc.install_span_tracer(span_tracer);
+  if (trace) sc.install_tracer(port_tracer);
+  sc.run(sim::milliseconds(5));
+  PacketRecords out;
+  if (digest) {
+    sc.finalize_digest();
+    out.digest = run_digest.total().hex();
+    out.digest_events = run_digest.count();
+  }
+  out.spans = span_tracer.records();
+  out.trace = port_tracer.records();
+  return out;
+}
+
 }  // namespace
+
+TEST(Fabric, PacketPlanesRecordTheSameTogetherAsAlone) {
+  const PacketRecords all = run_packet_planes(true, true, true);
+  const PacketRecords digest_only = run_packet_planes(true, false, false);
+  const PacketRecords spans_only = run_packet_planes(false, true, false);
+  const PacketRecords trace_only = run_packet_planes(false, false, true);
+  EXPECT_EQ(all.digest, digest_only.digest);
+  EXPECT_EQ(all.digest_events, digest_only.digest_events);
+  EXPECT_EQ(all.spans, spans_only.spans);
+  EXPECT_EQ(all.trace, trace_only.trace);
+  EXPECT_TRUE(digest_only.spans.empty() && digest_only.trace.empty());
+  EXPECT_TRUE(spans_only.digest.empty() && spans_only.trace.empty());
+  EXPECT_TRUE(trace_only.digest.empty() && trace_only.spans.empty());
+  // Every site reported: senders, the bottleneck port and its link.
+  std::array<std::size_t, net::kNumPacketEvents> phases{};
+  for (const trace::SpanRecord& s : all.spans) {
+    ++phases[static_cast<std::size_t>(s.phase)];
+  }
+  for (const net::PacketEvent e :
+       {net::PacketEvent::kSend, net::PacketEvent::kEnqueue, net::PacketEvent::kDequeue,
+        net::PacketEvent::kLinkTx, net::PacketEvent::kRx, net::PacketEvent::kAck,
+        net::PacketEvent::kMark}) {
+    EXPECT_GT(phases[static_cast<std::size_t>(e)], 0u) << net::packet_event_name(e);
+  }
+  EXPECT_GT(all.digest_events, 0u);
+  EXPECT_FALSE(all.trace.empty());
+}
 
 TEST(Fabric, DumbbellCarriesEveryPlane) {
   expect_every_plane(run_dumbbell(), run_dumbbell());

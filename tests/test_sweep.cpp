@@ -257,7 +257,7 @@ TEST(Sweep, BackToBackIdenticalRunsProduceIdenticalTraces) {
     cfg.scheduler.weights = {1.0, 1.0};
     experiments::DumbbellScenario sc(cfg);
     trace::Tracer tracer;
-    sc.bottleneck().set_tracer(&tracer);
+    sc.install_tracer(tracer);
     for (std::size_t s = 0; s < 2; ++s) {
       experiments::DumbbellFlowSpec spec;
       spec.sender = s;

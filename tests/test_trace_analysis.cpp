@@ -22,13 +22,13 @@
 
 using namespace pmsb;
 using trace::Span;
-using trace::SpanPhase;
+using net::PacketEvent;
 using trace::SpanRecord;
 using trace::SpanTracer;
 
 namespace {
 
-SpanRecord make_span(sim::TimeNs t, SpanPhase phase, net::FlowId flow,
+SpanRecord make_span(sim::TimeNs t, PacketEvent phase, net::FlowId flow,
                      std::uint64_t packet = 1) {
   SpanRecord s;
   s.time = t;
@@ -55,11 +55,11 @@ TEST(SpanTracer, OnlyWatchedFlowsAreRecorded) {
   spans.watch_flow(7);
   EXPECT_TRUE(spans.wants(7));
   EXPECT_FALSE(spans.wants(8));
-  spans.record(make_span(10, SpanPhase::kSend, 7));
-  spans.record(make_span(20, SpanPhase::kSend, 8));
+  spans.record(make_span(10, PacketEvent::kSend, 7));
+  spans.record(make_span(20, PacketEvent::kSend, 8));
   EXPECT_EQ(spans.size(), 1u);
   spans.watch_all();
-  spans.record(make_span(30, SpanPhase::kSend, 8));
+  spans.record(make_span(30, PacketEvent::kSend, 8));
   EXPECT_EQ(spans.size(), 2u);
 }
 
@@ -67,7 +67,7 @@ TEST(SpanTracer, RingWrapKeepsTheTailChronologically) {
   SpanTracer spans(3, SpanTracer::OverflowPolicy::kRingBuffer);
   spans.watch_all();
   for (sim::TimeNs t = 1; t <= 5; ++t) {
-    spans.record(make_span(t, SpanPhase::kSend, 1, static_cast<std::uint64_t>(t)));
+    spans.record(make_span(t, PacketEvent::kSend, 1, static_cast<std::uint64_t>(t)));
   }
   EXPECT_EQ(spans.size(), 3u);
   EXPECT_EQ(spans.overflow(), 2u);
@@ -86,7 +86,7 @@ TEST(SpanTracer, DropNewestKeepsTheHead) {
   SpanTracer spans(2, SpanTracer::OverflowPolicy::kDropNewest);
   spans.watch_all();
   for (sim::TimeNs t = 1; t <= 4; ++t) {
-    spans.record(make_span(t, SpanPhase::kSend, 1));
+    spans.record(make_span(t, PacketEvent::kSend, 1));
   }
   EXPECT_EQ(spans.size(), 2u);
   EXPECT_EQ(spans.overflow(), 2u);
@@ -99,7 +99,7 @@ TEST(SpanTracer, NdjsonEscapesHostileNodeNamesAndRoundTrips) {
   spans.watch_all();
   // Names with every character class the escaper must handle.
   const std::string hostile = "sw\"itch\\one\n\ttab\x01";
-  SpanRecord s = make_span(42, SpanPhase::kEnqueue, 3, 99);
+  SpanRecord s = make_span(42, PacketEvent::kEnqueue, 3, 99);
   s.node = spans.intern_node(hostile);
   s.queue = 5;
   s.seq = 1460;
@@ -110,7 +110,7 @@ TEST(SpanTracer, NdjsonEscapesHostileNodeNamesAndRoundTrips) {
   const auto parsed = trace::parse_spans_ndjson(text, "escape-test");
   ASSERT_EQ(parsed.size(), 1u);
   EXPECT_EQ(parsed[0].node, hostile);
-  EXPECT_EQ(parsed[0].phase, SpanPhase::kEnqueue);
+  EXPECT_EQ(parsed[0].phase, PacketEvent::kEnqueue);
   EXPECT_EQ(parsed[0].flow, 3u);
   EXPECT_EQ(parsed[0].packet, 99u);
   EXPECT_EQ(parsed[0].queue, 5u);
@@ -131,7 +131,7 @@ TEST(Analysis, FlowBreakdownTelescopesExactly) {
   // Hand-built lifecycle: send 0 -> enqueue 10 -> mark 10 -> dequeue 30 ->
   // link_tx 40 -> rx 45 -> ack 60. Each gap belongs to the phase opening it.
   std::vector<Span> spans;
-  auto add = [&spans](sim::TimeNs t, SpanPhase ph) {
+  auto add = [&spans](sim::TimeNs t, PacketEvent ph) {
     Span s;
     s.time = t;
     s.phase = ph;
@@ -139,13 +139,13 @@ TEST(Analysis, FlowBreakdownTelescopesExactly) {
     s.packet = 1;
     spans.push_back(s);
   };
-  add(0, SpanPhase::kSend);
-  add(10, SpanPhase::kEnqueue);
-  add(10, SpanPhase::kMark);
-  add(30, SpanPhase::kDequeue);
-  add(40, SpanPhase::kLinkTx);
-  add(45, SpanPhase::kRx);
-  add(60, SpanPhase::kAck);
+  add(0, PacketEvent::kSend);
+  add(10, PacketEvent::kEnqueue);
+  add(10, PacketEvent::kMark);
+  add(30, PacketEvent::kDequeue);
+  add(40, PacketEvent::kLinkTx);
+  add(45, PacketEvent::kRx);
+  add(60, PacketEvent::kAck);
   const auto b = trace::analyze_flow(spans, 1);
   EXPECT_EQ(b.start_ns, 0);
   EXPECT_EQ(b.end_ns, 60);
@@ -190,8 +190,8 @@ TEST(Analysis, DumbbellFlowFctEqualsSumOfSpanSegments) {
       sc.flow(0).sender().completion_time() - sc.flow(0).sender().start_time();
   // First span is the initial kSend at start_time, last is the final kAck at
   // completion_time, so the telescoped components must sum to the FCT.
-  EXPECT_EQ(b.timeline.front().phase, SpanPhase::kSend);
-  EXPECT_EQ(b.timeline.back().phase, SpanPhase::kAck);
+  EXPECT_EQ(b.timeline.front().phase, PacketEvent::kSend);
+  EXPECT_EQ(b.timeline.back().phase, PacketEvent::kAck);
   EXPECT_EQ(b.end_ns - b.start_ns, fct);
   const sim::TimeNs total = std::accumulate(
       b.by_component.begin(), b.by_component.end(), sim::TimeNs{0},

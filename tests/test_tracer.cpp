@@ -9,31 +9,32 @@
 
 using namespace pmsb;
 using namespace pmsb::trace;
+using net::PacketEvent;
 
 TEST(Tracer, RecordsAndCounts) {
   Tracer t;
-  t.record({10, EventKind::kEnqueue, 1, 7, 0, 1500});
-  t.record({20, EventKind::kMark, 1, 7, 0, 3000});
-  t.record({30, EventKind::kDequeue, 1, 7, 0, 1500});
+  t.record({10, PacketEvent::kEnqueue, 1, 7, 0, 1500});
+  t.record({20, PacketEvent::kMark, 1, 7, 0, 3000});
+  t.record({30, PacketEvent::kDequeue, 1, 7, 0, 1500});
   EXPECT_EQ(t.records().size(), 3u);
-  EXPECT_EQ(t.count(EventKind::kMark), 1u);
-  EXPECT_EQ(t.count(EventKind::kDrop), 0u);
-  EXPECT_EQ(t.count_queue(EventKind::kEnqueue, 0), 1u);
-  EXPECT_EQ(t.count_queue(EventKind::kEnqueue, 1), 0u);
+  EXPECT_EQ(t.count(PacketEvent::kMark), 1u);
+  EXPECT_EQ(t.count(PacketEvent::kDrop), 0u);
+  EXPECT_EQ(t.count_queue(PacketEvent::kEnqueue, 0), 1u);
+  EXPECT_EQ(t.count_queue(PacketEvent::kEnqueue, 1), 0u);
 }
 
 TEST(Tracer, FlowFilter) {
   Tracer t;
   t.set_flow_filter(7);
-  t.record({0, EventKind::kEnqueue, 1, 7, 0, 0});
-  t.record({0, EventKind::kEnqueue, 2, 8, 0, 0});
+  t.record({0, PacketEvent::kEnqueue, 1, 7, 0, 0});
+  t.record({0, PacketEvent::kEnqueue, 2, 8, 0, 0});
   EXPECT_EQ(t.records().size(), 1u);
   EXPECT_EQ(t.records()[0].flow, 7u);
 }
 
 TEST(Tracer, CapacityBoundWithOverflowCount) {
   Tracer t(2);
-  for (int i = 0; i < 5; ++i) t.record({0, EventKind::kEnqueue, 0, 0, 0, 0});
+  for (int i = 0; i < 5; ++i) t.record({0, PacketEvent::kEnqueue, 0, 0, 0, 0});
   EXPECT_EQ(t.records().size(), 2u);
   EXPECT_EQ(t.overflow(), 3u);
   t.clear();
@@ -45,7 +46,7 @@ TEST(Tracer, RingBufferKeepsTail) {
   Tracer t(3, OverflowPolicy::kRingBuffer);
   for (std::uint64_t i = 1; i <= 7; ++i) {
     // Alternate queues so the incremental per-queue counts get exercised.
-    t.record({sim::TimeNs(i), i % 2 == 0 ? EventKind::kMark : EventKind::kEnqueue,
+    t.record({sim::TimeNs(i), i % 2 == 0 ? PacketEvent::kMark : PacketEvent::kEnqueue,
               i, 1, i % 2, i * 100});
   }
   // Records 5, 6, 7 survive; 4 were evicted.
@@ -55,26 +56,26 @@ TEST(Tracer, RingBufferKeepsTail) {
   t.for_each_chronological([&order](const Record& r) { order.push_back(r.packet); });
   EXPECT_EQ(order, (std::vector<std::uint64_t>{5, 6, 7}));
   // O(1) counts reflect only the retained tail: 5,7 enqueue on q1; 6 mark q0.
-  EXPECT_EQ(t.count(EventKind::kEnqueue), 2u);
-  EXPECT_EQ(t.count(EventKind::kMark), 1u);
-  EXPECT_EQ(t.count_queue(EventKind::kEnqueue, 1), 2u);
-  EXPECT_EQ(t.count_queue(EventKind::kMark, 0), 1u);
-  EXPECT_EQ(t.count_queue(EventKind::kMark, 1), 0u);
+  EXPECT_EQ(t.count(PacketEvent::kEnqueue), 2u);
+  EXPECT_EQ(t.count(PacketEvent::kMark), 1u);
+  EXPECT_EQ(t.count_queue(PacketEvent::kEnqueue, 1), 2u);
+  EXPECT_EQ(t.count_queue(PacketEvent::kMark, 0), 1u);
+  EXPECT_EQ(t.count_queue(PacketEvent::kMark, 1), 0u);
 }
 
 TEST(Tracer, ZeroCapacityNeverStores) {
   Tracer t(0, OverflowPolicy::kRingBuffer);
-  t.record({0, EventKind::kEnqueue, 1, 1, 0, 0});
+  t.record({0, PacketEvent::kEnqueue, 1, 1, 0, 0});
   EXPECT_TRUE(t.records().empty());
   EXPECT_EQ(t.overflow(), 1u);
-  EXPECT_EQ(t.count(EventKind::kEnqueue), 0u);
+  EXPECT_EQ(t.count(PacketEvent::kEnqueue), 0u);
 }
 
 TEST(Tracer, NdjsonDumpIsChronologicalAfterWrap) {
   Tracer t(2, OverflowPolicy::kRingBuffer);
-  t.record({sim::microseconds(1), EventKind::kEnqueue, 1, 9, 0, 100});
-  t.record({sim::microseconds(2), EventKind::kMark, 2, 9, 1, 200});
-  t.record({sim::microseconds(3), EventKind::kDrop, 3, 9, 1, 300});  // evicts #1
+  t.record({sim::microseconds(1), PacketEvent::kEnqueue, 1, 9, 0, 100});
+  t.record({sim::microseconds(2), PacketEvent::kMark, 2, 9, 1, 200});
+  t.record({sim::microseconds(3), PacketEvent::kDrop, 3, 9, 1, 300});  // evicts #1
   const std::string path = std::string(::testing::TempDir()) + "/trace_events.ndjson";
   t.write_ndjson(path);
   std::ifstream in(path);
@@ -91,7 +92,7 @@ TEST(Tracer, NdjsonDumpIsChronologicalAfterWrap) {
 
 TEST(Tracer, CsvDump) {
   Tracer t;
-  t.record({sim::microseconds(5), EventKind::kMark, 42, 9, 1, 4500});
+  t.record({sim::microseconds(5), PacketEvent::kMark, 42, 9, 1, 4500});
   const std::string path = std::string(::testing::TempDir()) + "/trace_events.csv";
   t.write_csv(path);
   std::ifstream in(path);
@@ -112,21 +113,21 @@ TEST(TracerPort, CapturesFullLifecycleInScenario) {
   cfg.marking.threshold_bytes = 8 * 1500;
   experiments::DumbbellScenario sc(cfg);
   Tracer tracer;
-  sc.bottleneck().set_tracer(&tracer);
+  sc.install_tracer(tracer);
   sc.add_flow({.sender = 0, .service = 0, .bytes = 200'000, .start = 0});
   sc.add_flow({.sender = 1, .service = 1, .bytes = 200'000, .start = 0});
   sc.run(sim::milliseconds(20));
   // Conservation: every enqueued packet dequeues; marks match port stats.
-  EXPECT_GT(tracer.count(EventKind::kEnqueue), 100u);
-  EXPECT_EQ(tracer.count(EventKind::kEnqueue), tracer.count(EventKind::kDequeue));
-  EXPECT_EQ(tracer.count(EventKind::kMark),
+  EXPECT_GT(tracer.count(PacketEvent::kEnqueue), 100u);
+  EXPECT_EQ(tracer.count(PacketEvent::kEnqueue), tracer.count(PacketEvent::kDequeue));
+  EXPECT_EQ(tracer.count(PacketEvent::kMark),
             sc.bottleneck().stats().marked_enqueue +
                 sc.bottleneck().stats().marked_dequeue);
-  EXPECT_EQ(tracer.count(EventKind::kDrop), sc.bottleneck().stats().dropped_packets);
+  EXPECT_EQ(tracer.count(PacketEvent::kDrop), sc.bottleneck().stats().dropped_packets);
   // Mark events identify the queue that was over its share: both queues are
   // congested here so both should appear.
-  EXPECT_GT(tracer.count_queue(EventKind::kMark, 0), 0u);
-  EXPECT_GT(tracer.count_queue(EventKind::kMark, 1), 0u);
+  EXPECT_GT(tracer.count_queue(PacketEvent::kMark, 0), 0u);
+  EXPECT_GT(tracer.count_queue(PacketEvent::kMark, 1), 0u);
 }
 
 TEST(TracerPort, VictimForensics) {
@@ -142,12 +143,12 @@ TEST(TracerPort, VictimForensics) {
   cfg.marking.threshold_bytes = 16 * 1500;
   experiments::DumbbellScenario sc(cfg);
   Tracer tracer;
-  sc.bottleneck().set_tracer(&tracer);
+  sc.install_tracer(tracer);
   sc.add_flow({.sender = 0, .service = 0, .bytes = 0, .start = 0});
   for (std::size_t i = 1; i <= 8; ++i) {
     sc.add_flow({.sender = i, .service = 1, .bytes = 0, .start = 0});
   }
   sc.run(sim::milliseconds(10));
-  EXPECT_GT(tracer.count_queue(EventKind::kMark, 0), 0u)
+  EXPECT_GT(tracer.count_queue(PacketEvent::kMark, 0), 0u)
       << "victim queue should be getting (faulty) marks under per-port marking";
 }

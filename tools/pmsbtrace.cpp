@@ -109,7 +109,7 @@ int cmd_flow(const std::string& path, const Options& opts) {
       std::string flags;
       if (s.marked) flags += "M";
       if (s.retransmit) flags += "R";
-      table.add_row({fmt_us(s.time), trace::span_phase_name(s.phase), s.node,
+      table.add_row({fmt_us(s.time), net::packet_event_name(s.phase), s.node,
                      std::to_string(s.packet), std::to_string(s.seq), flags});
     }
     table.print();
